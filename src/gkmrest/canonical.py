@@ -32,7 +32,9 @@ from .errors import (
     WellDefinednessViolation,
 )
 from .exact import LinFrac, Poly, Weight, linfrac_sum_to_poly, pair
-from .gkm import OrientedGraphData, is_index_increasing, magnitude
+# magnitude is no longer called here; it stays importable from this module
+# because perfbench/selftest.py checks that the tracer wraps this binding
+from .gkm import OrientedGraphData, magnitude  # noqa: F401
 
 # a degree-two class is recorded by its restrictions: vertex id -> Weight
 VertexClass = Mapping[str, Weight]
@@ -103,11 +105,7 @@ class RestrictionTable:
 
 
 def _require_index_increasing(od: OrientedGraphData):
-    flag = getattr(od, "_index_increasing", None)
-    if flag is None:
-        flag = is_index_increasing(od)
-        od._index_increasing = flag
-    if not flag:
+    if not od.index_increasing:
         raise GraphFormatError("orientation is not index increasing; canonical classes need not exist")
 
 
@@ -144,15 +142,11 @@ def single_form_column(od: OrientedGraphData, q: str) -> dict[str, Poly]:
         if v == q:
             col[v] = od.lambda_minus(q)
             continue
-        coefs = []
+        total = Poly.zero(n)
         for r in od.up[v]:
             top = col[r]
-            if top.is_zero():
-                continue
-            coefs.append((Fraction(magnitude(g, v, r)) * od.theta(v, r), top))
-        total = Poly.zero(n)
-        for c, top in coefs:
-            total = total + top.scale(c)
+            if not top.is_zero():
+                total = total + top.scale(od.gz_coefficient(v, r))
         if total.is_zero():
             col[v] = total
             continue

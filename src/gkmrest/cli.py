@@ -77,7 +77,7 @@ def _resolve_vertex(orbit, od, text: str) -> str:
         return text
     try:
         key = ",".join(format_scalar(c) for c in Weight(text.split(",")).coords)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         key = None
     if key is not None and key in od.graph.moment:
         return key

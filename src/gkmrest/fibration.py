@@ -95,7 +95,7 @@ class TowerSpec:
                 )
                 for lvl in data["levels"]
             ]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise GraphFormatError(f"malformed tower JSON: {exc}") from exc
         return cls(levels)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import (
@@ -89,7 +90,7 @@ class GkmGraph:
             vertices = [(str(v["id"]), Weight(v["moment"])) for v in data["vertices"]]
             edges = [(str(e["src"]), str(e["dst"]), Weight(e["weight"]))
                      for e in data["edges"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise GraphFormatError(f"malformed graph JSON: {exc}") from exc
         return cls(rank, vertices, edges)
 
@@ -213,7 +214,8 @@ def choose_generic_xi(g: GkmGraph, seed: int = 0) -> Weight:
 class OrientedGraphData:
     """A graph together with a certified direction vector and the derived
     Morse data: phi values, indices, downward weight multisets, and their
-    products.  Immutable after construction; all caches are built eagerly.
+    products.  The Morse data is built eagerly; edge scalars, gz
+    coefficients and the index-increasing flag are memoised on first use.
     """
 
     def __init__(self, graph: GkmGraph, xi: Weight):
@@ -250,6 +252,7 @@ class OrientedGraphData:
             sorted(graph.ids, key=lambda v: (self.phi[v], v))
         )
         self._theta_cache: dict[tuple[str, str], Fraction] = {}
+        self._gz_coefficients: dict[tuple[str, str], Fraction] = {}
 
     @property
     def rank(self) -> int:
@@ -274,7 +277,13 @@ class OrientedGraphData:
         """Edge scalar: the ratio of the projected downward product at p to
         the projected downward product at q with the edge weight removed.
         Requires (p, q) to be an ascending edge with index gap one; the
-        value is checked to be a nonzero integer."""
+        value is checked to be a nonzero integer.
+
+        Nothing is expanded.  Linear forms are irreducible and the
+        polynomial ring is a unique factorisation domain, so two products
+        of nonzero linear forms are proportional exactly when their
+        multisets of primitive forms agree, and the ratio is then the
+        ratio of the leftover scales."""
         key = (p, q)
         got = self._theta_cache.get(key)
         if got is not None:
@@ -284,32 +293,60 @@ class OrientedGraphData:
         if self.lam[q] != self.lam[p] + 1:
             raise GraphFormatError(f"edge ({p},{q}) does not raise the index by one")
         eta = self.graph.edge_weight(p, q)
-        from .exact import rho_project
-        num = Poly.const(self.rank, 1)
-        for w in self.neg[p]:
-            num = num.mul_weight(rho_project(w, eta, self.xi))
-        den = Poly.const(self.rank, 1)
-        removed = False
-        for w in self.neg[q]:
-            if not removed and w == eta:
-                removed = True
-                continue
-            den = den.mul_weight(rho_project(w, eta, self.xi))
-        if not removed:
+        rest = list(self.neg[q])
+        if eta not in rest:
             raise GraphFormatError(f"edge weight of ({p},{q}) is not a downward weight at {q}")
-        # den is a product of projections of weights independent of eta,
-        # hence nonzero; compare term by term after matching leaders.
-        _, cd = den.leading()
-        _, cn = num.leading() if not num.is_zero() else ((0,) * self.rank, 0)
-        ratio = Fraction(cn) / Fraction(cd)
-        if num != den.scale(ratio):
-            raise NotScalarRatio(f"projected products at ({p},{q}) are not proportional")
-        if ratio == 0:
+        rest.remove(eta)
+        # both sides have lam(p) factors, so the projections may all be
+        # scaled by the same <eta, xi>
+        num = _scaled_projections(self.neg[p], eta, self.xi)
+        den = _scaled_projections(rest, eta, self.xi)
+        if den is None:
+            raise NotScalarRatio(f"projected product at {q} vanished on edge ({p},{q})")
+        # a zero numerator is proportional to anything, so it only vanishes
+        if num is None:
             raise NotScalarRatio(f"projected product at {p} vanished on edge ({p},{q})")
+        if num[0] != den[0]:
+            raise NotScalarRatio(f"projected products at ({p},{q}) are not proportional")
+        ratio = Fraction(num[1]) / den[1]
         if ratio.denominator != 1:
             raise NonIntegerTheta(f"edge scalar {ratio} at ({p},{q}) is not an integer")
         self._theta_cache[key] = ratio
         return ratio
+
+    def gz_coefficient(self, v: str, r: str) -> Fraction:
+        """magnitude(v, r) * theta(v, r): the weight of the value at r in
+        the moment-driven dynamic program at v, memoised per canonical
+        edge.  theta is asked on every call, a cache hit after the first,
+        so a trace counts one theta request per DP edge."""
+        th = self.theta(v, r)
+        c = self._gz_coefficients.get((v, r))
+        if c is None:
+            c = self._gz_coefficients[(v, r)] = magnitude(self.graph, v, r) * th
+        return c
+
+    @cached_property
+    def index_increasing(self) -> bool:
+        """True when every ascending edge strictly raises the index."""
+        return is_index_increasing(self)
+
+
+def _scaled_projections(weights, eta: Weight, xi: Weight):
+    """Split the product of <eta,xi> * rho_project(w, eta, xi) over weights
+    into (sorted primitive forms, product of scales), or None when a
+    factor is zero.  Scaling by <eta,xi> keeps integral weights integral."""
+    d = pair(eta, xi)
+    forms, scale = [], 1
+    for w in weights:
+        t = pair(w, xi)
+        x = Weight([d * a - t * b for a, b in zip(w.coords, eta.coords)])
+        if x.is_zero():
+            return None
+        prim, s = x.primitive()
+        forms.append(prim)
+        scale *= s
+    forms.sort()
+    return forms, scale
 
 
 def is_index_increasing(od: OrientedGraphData) -> bool:

@@ -297,7 +297,10 @@ class OrbitSpec:
             mu = self._default_mu()
             self._default = True
         else:
-            mu = Weight(mu)
+            try:
+                mu = Weight(mu)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise GraphFormatError(f"mu is not a list of rationals: {exc}") from exc
             self._default = False
         if len(mu) != self.rs.ambient:
             raise GraphFormatError(f"mu must have {self.rs.ambient} coordinates")

@@ -100,6 +100,20 @@ class TestRestrict:
                       "--p", "p1", "--q", "p2", "--engine", "typed")
         assert code == 2
 
+    def test_non_numeric_mu_exits_2(self, capsys):
+        code = main(["restrict", "--type", "A", "--rank", "2", "--mu", "a,b,c",
+                     "--p", "w:1,2,3", "--q", "w:3,2,1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "mu" in err and "Traceback" not in err
+
+    def test_zero_denominator_in_mu_or_vertex_exits_2(self, capsys):
+        code, _ = run(capsys, "orbit", "--type", "B", "--rank", "2", "--mu", "1/0,2")
+        assert code == 2
+        code, _ = run(capsys, "restrict", "--type", "A", "--rank", "2",
+                      "--p", "1/0,2", "--q", "w:3,2,1")
+        assert code == 2
+
     def test_output_reparses(self, capsys):
         for engine in ("gz", "typed", "brute"):
             _, out = run(capsys, "restrict", "--type", "C", "--rank", "2",

@@ -74,6 +74,11 @@ class TestTowerSpec:
         assert [lvl.moment for lvl in again.levels] == \
             [lvl.moment for lvl in tw.levels]
 
+    def test_json_zero_denominator_rejected(self):
+        data = {"levels": [{"projection": {"a": "a"}, "moment": {"a": ["1/0"]}}]}
+        with pytest.raises(GraphFormatError):
+            TowerSpec.from_json(data)
+
 
 class TestTowerRestriction:
     def test_identity_tower_reduces_to_single_form(self, a2):

@@ -126,6 +126,11 @@ class TestIndexIncreasing:
         assert od.lam["v"] == od.lam["w"] == 1
         assert not is_index_increasing(od)
 
+    def test_flag_memoised_on_the_data(self, cp2_oriented):
+        assert "index_increasing" not in vars(cp2_oriented)
+        assert cp2_oriented.index_increasing is True
+        assert vars(cp2_oriented)["index_increasing"] is True
+
 
 class TestMagnitude:
     def test_projective_plane_unit(self, cp2):
@@ -197,6 +202,11 @@ class TestSerialization:
     def test_malformed_rejected(self):
         with pytest.raises(GraphFormatError):
             GkmGraph.from_json({"rank": 2, "vertices": [], "edges": "nope"})
+
+    def test_zero_denominator_rejected(self):
+        data = {"rank": 1, "vertices": [{"id": "a", "moment": ["1/0"]}], "edges": []}
+        with pytest.raises(GraphFormatError):
+            GkmGraph.from_json(data)
 
     def test_dot_export_counts(self, cp2_oriented):
         dot = export_dot(cp2_oriented)

@@ -389,6 +389,12 @@ class TestMuInvariance:
         with pytest.raises(GraphFormatError):
             OrbitSpec("B", 2, mu=[-2, 1])
 
+    def test_non_numeric_mu_rejected(self):
+        with pytest.raises(GraphFormatError):
+            OrbitSpec("A", 2, mu=["a", "b", "c"])
+        with pytest.raises(GraphFormatError):
+            OrbitSpec("B", 2, mu=["1/0", "2"])
+
 
 class TestThetaNotOneDiagnostic:
     def test_error_type_exists(self):
