@@ -28,6 +28,7 @@ from .canonical import (
     adjacent_restriction,
     brute_solve_canonical,
     certify_table,
+    ordered_table,
     restriction_ordered,
     restriction_single_form,
     restriction_vertex_classes,
@@ -42,6 +43,7 @@ from .fibration import (
     fiber_decomposition,
     skipped_vertices,
     tower_restriction,
+    tower_table,
 )
 from .orbits import (
     Orbit,

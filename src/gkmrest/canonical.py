@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import (
     GraphFormatError,
@@ -253,10 +253,23 @@ def filtered_path_sum(
     """Sum over canonical-graph paths p -> q whose edge levels are
     nondecreasing; each edge contributes
     (w_h(b) - w_h(a)) / (w_h(q) - w_h(a)) times the edge label, with h the
-    edge's level."""
+    edge's level.
+
+    The walk only extends a prefix to a vertex u from which q is reachable
+    along canonical edges (od.reachable).  This is exact: every path
+    p -> q through u continues from u to q along canonical edges, so the
+    skipped prefixes are exactly those that never reach q.  They add no
+    ledger term, and a WellDefinednessViolation is only raised on reaching
+    q, so the ledger, its depth-first order and the cases that raise it are
+    those of the unpruned walk.  Canonical edges ascend in phi, so every
+    vertex other than q that can still reach q lies below q in phi.  Edge
+    scalars are not asked on skipped prefixes."""
     _require_index_increasing(od)
     n = od.rank
     ledger: list[PathTerm] = []
+    reach = od.reachable
+    if q not in reach[p]:
+        return linfrac_sum_to_poly([], n), ledger
     lam_q = od.lambda_minus_linfrac(q)
     stack: list[tuple[tuple[str, ...], tuple[int, ...], LinFrac | None]] = [
         ((p,), (), LinFrac.one(n))
@@ -270,10 +283,10 @@ def filtered_path_sum(
                     f"a level along {path} does not separate its vertex from {q}")
             ledger.append(PathTerm(path, lam_q * acc, levels))
             continue
-        if od.phi[v] >= od.phi[q]:
-            continue
         last = levels[-1] if levels else 0
         for u in od.up[v]:
+            if q not in reach[u]:
+                continue
             j = h_edge[(v, u)]
             if j < last:
                 continue
@@ -288,16 +301,45 @@ def filtered_path_sum(
     return linfrac_sum_to_poly([t.value for t in ledger], n), ledger
 
 
+def filtered_path_table(od: OrientedGraphData, h_edge: Mapping[tuple[str, str], int],
+                        w_level: Callable[[int, str], Weight],
+                        ) -> Iterator[tuple[tuple[str, str], Poly, list[PathTerm]]]:
+    """filtered_path_sum over every ordered pair, yielding
+    ((p, q), value, ledger) row by row with one shared filter."""
+    for p in od.graph.ids:
+        for q in od.graph.ids:
+            value, ledger = filtered_path_sum(od, p, q, h_edge, w_level)
+            yield (p, q), value, ledger
+
+
+def ordered_filter(
+    od: OrientedGraphData,
+    classes: "Sequence[VertexClass] | WeightClassAssignment",
+) -> tuple[dict[tuple[str, str], int], Callable[[int, str], Weight]]:
+    """The h-function and level values of an ordered class list, as
+    filtered_path_sum takes them; raises NoSeparatingClass when some
+    canonical edge is separated by no class."""
+    classes = _as_ordered_classes(classes)
+    return build_h_function(od, classes), lambda j, v: classes[j - 1][v]
+
+
 def restriction_ordered(
     od: OrientedGraphData, p: str, q: str,
     classes: "Sequence[VertexClass] | WeightClassAssignment",
 ) -> tuple[Poly, list[PathTerm]]:
     """Filtered path sum for an ordered list of classes; callers are
     expected to have certified the vanishing hypothesis (verify_tech)."""
-    classes = _as_ordered_classes(classes)
-    h_edge = build_h_function(od, classes)
-    return filtered_path_sum(od, p, q, h_edge,
-                             lambda j, v: classes[j - 1][v])
+    return filtered_path_sum(od, p, q, *ordered_filter(od, classes))
+
+
+def ordered_table(
+    od: OrientedGraphData,
+    classes: "Sequence[VertexClass] | WeightClassAssignment",
+) -> Iterator[tuple[tuple[str, str], Poly, list[PathTerm]]]:
+    """restriction_ordered for every pair, as ((p, q), value, ledger) in
+    row-major order.  The filter is built once, and its errors are raised
+    by this call, before any pair is walked."""
+    return filtered_path_table(od, *ordered_filter(od, classes))
 
 
 def verify_tech(

@@ -17,7 +17,7 @@ import sys
 
 from .canonical import (
     RestrictionTable,
-    brute_solve_canonical,
+    brute_row,
     restriction_ordered,
     restriction_single_form,
     single_form_column,
@@ -32,10 +32,14 @@ from .gkm import (
     export_dot,
     validate_gkm,
 )
-from .oracle import billey_restriction, cross_validate, engine_entries
+from .oracle import (
+    ENGINES,
+    ORBIT_ENGINES,
+    billey_restriction,
+    cross_validate,
+    engine_entries,
+)
 from .orbits import Orbit, OrbitSpec, SignedPerm, build_orbit_gkm, typed_restriction
-
-ENGINES = ("gz", "ordered", "tower", "typed", "brute", "billey")
 
 
 def _add_source_args(sub, orbit_only=False):
@@ -103,7 +107,7 @@ def _restrict_value(args, orbit, od, p, q):
     if engine == "gz":
         value = restriction_single_form(od, p, q)
     elif engine == "brute":
-        value = brute_solve_canonical(od).get(p, q)
+        value = brute_row(od, p)[q]
     elif engine == "ordered":
         if orbit is not None:
             classes = [lvl.moment for lvl in orbit.tower().levels]
@@ -166,7 +170,7 @@ def _table_entries(args, orbit, od):
 
 def cmd_table(args) -> int:
     orbit, od = _load_target(args)
-    if args.engine in ("tower", "typed", "billey") and orbit is None:
+    if args.engine in ORBIT_ENGINES and orbit is None:
         raise GkmError(f"engine {args.engine!r} needs an orbit input")
     entries = _table_entries(args, orbit, od)
     table = RestrictionTable(od, entries)
@@ -236,7 +240,6 @@ def _column_worker(q):
 
 
 def _row_worker(p):
-    from .canonical import brute_row
     od = _FORK_CTX["od"]
     row = brute_row(od, p)
     return p, [(q, poly.to_json()) for q, poly in row.items()]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import (
     GraphFormatError,
@@ -21,7 +21,13 @@ from .errors import (
     WeightNotPreserved,
 )
 from .exact import LinFrac, Poly, Weight, linfrac_sum_to_poly
-from .canonical import PathTerm, filtered_path_sum, _edge_factor, _require_index_increasing
+from .canonical import (
+    PathTerm,
+    _edge_factor,
+    _require_index_increasing,
+    filtered_path_sum,
+    filtered_path_table,
+)
 from .gkm import OrientedGraphData, magnitude
 
 
@@ -137,16 +143,31 @@ def check_weight_preserving(od: OrientedGraphData, tower: TowerSpec,
                 f"multiple of the edge weight")
 
 
+def tower_filter(od: OrientedGraphData, tower: TowerSpec,
+                 ) -> tuple[dict[tuple[str, str], int], Callable[[int, str], Weight]]:
+    """Validate a tower against od and return its h-function and level
+    values, as filtered_path_sum takes them.  Raises GraphFormatError,
+    NoSeparatingLevel or WeightNotPreserved, in that order of checks."""
+    tower.validate(od)
+    h = tower_h_function(od, tower)
+    check_weight_preserving(od, tower, h)
+    return h, lambda j, v: tower.levels[j - 1].moment[v]
+
+
 def tower_restriction(od: OrientedGraphData, tower: TowerSpec, p: str, q: str,
                       ) -> tuple[Poly, list[PathTerm]]:
     """Filtered path sum driven by a tower: levels come from the first
     separating projection and the class values are the pulled-back
     moments."""
-    tower.validate(od)
-    h = tower_h_function(od, tower)
-    check_weight_preserving(od, tower, h)
-    return filtered_path_sum(od, p, q, h,
-                             lambda j, v: tower.levels[j - 1].moment[v])
+    return filtered_path_sum(od, p, q, *tower_filter(od, tower))
+
+
+def tower_table(od: OrientedGraphData, tower: TowerSpec,
+                ) -> Iterator[tuple[tuple[str, str], Poly, list[PathTerm]]]:
+    """tower_restriction for every pair, as ((p, q), value, ledger) in
+    row-major order.  The tower is validated once, by this call, before
+    any pair is walked."""
+    return filtered_path_table(od, *tower_filter(od, tower))
 
 
 # ---------------------------------------------------------------------------

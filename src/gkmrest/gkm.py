@@ -215,7 +215,8 @@ class OrientedGraphData:
     """A graph together with a certified direction vector and the derived
     Morse data: phi values, indices, downward weight multisets, and their
     products.  The Morse data is built eagerly; edge scalars, gz
-    coefficients and the index-increasing flag are memoised on first use.
+    coefficients, the index-increasing flag and canonical reachability are
+    memoised on first use.
     """
 
     def __init__(self, graph: GkmGraph, xi: Weight):
@@ -329,6 +330,20 @@ class OrientedGraphData:
     def index_increasing(self) -> bool:
         """True when every ascending edge strictly raises the index."""
         return is_index_increasing(self)
+
+    @cached_property
+    def reachable(self) -> dict[str, frozenset[str]]:
+        """For each vertex, the vertices reachable from it along canonical
+        (up) edges, itself included.  Built in one pass downward in phi,
+        which needs canonical edges to ascend: true on index-increasing
+        orientations, the only ones the path sums accept."""
+        reach: dict[str, frozenset[str]] = {}
+        for v in reversed(self.order):
+            out = {v}
+            for u in self.up[v]:
+                out |= reach[u]
+            reach[v] = frozenset(out)
+        return reach
 
 
 def _scaled_projections(weights, eta: Weight, xi: Weight):

@@ -14,12 +14,12 @@ from typing import Mapping, Sequence
 
 from .canonical import (
     brute_solve_canonical,
-    restriction_ordered,
+    ordered_table,
     table_single_form,
 )
-from .errors import SubwordCapExceeded
+from .errors import GkmError, SubwordCapExceeded
 from .exact import Poly
-from .fibration import tower_restriction
+from .fibration import tower_table
 from .gkm import OrientedGraphData
 from .orbits import (
     Orbit,
@@ -32,6 +32,9 @@ from .orbits import (
 )
 
 SUBWORD_CAP = 12
+
+ENGINES = ("gz", "ordered", "tower", "typed", "brute", "billey")
+ORBIT_ENGINES = ("tower", "typed", "billey")
 
 
 def billey_restriction(rs: RootSystem, w: SignedPerm, v: SignedPerm,
@@ -140,16 +143,6 @@ def compare_tables(tables: Mapping[str, Mapping[tuple[str, str], Poly]],
     return report
 
 
-def _ordered_entries(od: OrientedGraphData, classes) -> dict:
-    return {(p, q): restriction_ordered(od, p, q, classes)[0]
-            for p in od.graph.ids for q in od.graph.ids}
-
-
-def _tower_entries(od: OrientedGraphData, tower) -> dict:
-    return {(p, q): tower_restriction(od, tower, p, q)[0]
-            for p in od.graph.ids for q in od.graph.ids}
-
-
 def available_engines(target) -> list[str]:
     """Engines applicable to an Orbit or a plain oriented graph, ordered by
     cost; the exponential ones are included only at small scale."""
@@ -163,8 +156,18 @@ def available_engines(target) -> list[str]:
     return ["gz", "ordered", "brute"]
 
 
+def _check_engine(target, engine: str):
+    """Raise a GkmError naming the engine when it is unknown, or needs an
+    Orbit and target is a plain oriented graph."""
+    if engine not in ENGINES:
+        raise GkmError(f"unknown engine {engine!r}")
+    if engine in ORBIT_ENGINES and not isinstance(target, Orbit):
+        raise GkmError(f"{engine} engine needs an orbit")
+
+
 def engine_entries(target, engine: str) -> dict[tuple[str, str], Poly]:
     """Full table of one engine on an Orbit or OrientedGraphData."""
+    _check_engine(target, engine)
     orbit = target if isinstance(target, Orbit) else None
     od = orbit.od if orbit is not None else target
     if engine == "gz":
@@ -177,26 +180,20 @@ def engine_entries(target, engine: str) -> dict[tuple[str, str], Poly]:
             classes = [lvl.moment for lvl in tower.levels]
         else:
             classes = [dict(od.graph.moment)]
-        return _ordered_entries(od, classes)
+        return {pq: value for pq, value, _ in ordered_table(od, classes)}
     if engine == "tower":
-        if orbit is None:
-            raise ValueError("tower engine needs an orbit")
-        return _tower_entries(od, orbit.tower())
+        return {pq: value for pq, value, _ in tower_table(od, orbit.tower())}
     if engine == "typed":
-        if orbit is None:
-            raise ValueError("typed engine needs an orbit")
         return typed_table(orbit).entries
-    if engine == "billey":
-        if orbit is None:
-            raise ValueError("subword oracle needs an orbit")
-        return billey_table_entries(orbit)
-    raise ValueError(f"unknown engine {engine!r}")
+    return billey_table_entries(orbit)
 
 
 def cross_validate(target, engines: Sequence[str] | None = None) -> CrossReport:
     """Run several engines over every pair and compare exactly."""
     if engines is None:
         engines = available_engines(target)
+    for e in engines:
+        _check_engine(target, e)
     tables = {e: engine_entries(target, e) for e in engines}
     ids = (target.od if isinstance(target, Orbit) else target).graph.ids
     return compare_tables(tables, ids)

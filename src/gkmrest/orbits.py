@@ -492,13 +492,22 @@ class Orbit:
         return got
 
     def bruhat_leq(self, a: SignedPerm, b: SignedPerm) -> bool:
-        """Reachability through upward covers."""
-        la, lb = self.length[a.word], self.length[b.word]
-        if la > lb:
-            return False
-        if a.word == b.word:
-            return True
-        return any(self.bruhat_leq(u, b) for u, _, _ in self.covers_up(a))
+        """Reachability through upward covers: a depth-first search that
+        visits each element at most once and stops at the length of b."""
+        lb = self.length[b.word]
+        seen = {a.word}
+        stack = [a]
+        while stack:
+            w = stack.pop()
+            if w.word == b.word:
+                return True
+            if self.length[w.word] >= lb:
+                continue
+            for u, _, _ in self.covers_up(w):
+                if u.word not in seen:
+                    seen.add(u.word)
+                    stack.append(u)
+        return False
 
     def lambda_minus_linfrac(self, w: SignedPerm) -> LinFrac:
         """Product of the positive roots the inverse sends negative."""

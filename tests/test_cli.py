@@ -114,6 +114,33 @@ class TestRestrict:
                       "--p", "1/0,2", "--q", "w:3,2,1")
         assert code == 2
 
+    def test_brute_reads_one_row(self, capsys, monkeypatch):
+        """restrict --engine brute solves only the row of p, and gives the
+        entry of the full brute table."""
+        import gkmrest.cli as cli
+        from gkmrest.canonical import brute_solve_canonical
+        from gkmrest.orbits import Orbit, OrbitSpec
+        calls = []
+        original = cli.brute_row
+
+        def counting(od, p):
+            calls.append(p)
+            return original(od, p)
+
+        monkeypatch.setattr(cli, "brute_row", counting)
+        for ctype, rank in (("B", 2), ("A", 3)):
+            orbit = Orbit(OrbitSpec(ctype, rank))
+            table = brute_solve_canonical(orbit.od)
+            ids = orbit.od.graph.ids
+            for p, q in ((ids[0], ids[-1]), (ids[1], ids[-2]), (ids[2], ids[2])):
+                calls.clear()
+                code, out = run(capsys, "restrict", "--type", ctype, "--rank", str(rank),
+                                "--p", p, "--q", q, "--engine", "brute",
+                                "--format", "json")
+                assert code == 0
+                assert json.loads(out)["value"] == table.get(p, q).to_json()
+                assert calls == [p]
+
     def test_output_reparses(self, capsys):
         for engine in ("gz", "typed", "brute"):
             _, out = run(capsys, "restrict", "--type", "C", "--rank", "2",
@@ -177,6 +204,18 @@ class TestCompare:
         code, out = run(capsys, "compare", "--graph", cp2_file)
         assert code == 0
         assert "0 mismatches / 9 pairs" in out
+
+    def test_inapplicable_engine_exits_2(self, capsys, cp2_file):
+        code = main(["compare", "--graph", cp2_file, "--engines", "gz,tower"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "tower" in err and "Traceback" not in err
+
+    def test_unknown_engine_exits_2(self, capsys):
+        code = main(["compare", "--type", "A", "--rank", "2", "--engines", "gz,nope"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "nope" in err and "Traceback" not in err
 
     def test_json_format(self, capsys):
         code, out = run(capsys, "compare", "--type", "C", "--rank", "2",

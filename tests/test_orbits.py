@@ -256,6 +256,47 @@ class TestTypedAC:
                 assert (not val.is_zero()) == c2.bruhat_leq(wp, wq)
 
 
+class TestBruhatOrder:
+    def test_matches_recursive_definition(self):
+        """The visited-set search against the recursive definition: a <= b
+        when they are equal, or when some upward cover of a is <= b."""
+        for ctype in ("A", "B"):
+            orbit = Orbit(OrbitSpec(ctype, 3))
+            memo = {}
+
+            def leq(a, b):
+                key = (a.word, b.word)
+                if key not in memo:
+                    memo[key] = a.word == b.word or (
+                        orbit.length[a.word] < orbit.length[b.word]
+                        and any(leq(u, b) for u, _, _ in orbit.covers_up(a)))
+                return memo[key]
+
+            below = 0
+            for a in orbit.elements:
+                for b in orbit.elements:
+                    got = orbit.bruhat_leq(a, b)
+                    assert got == leq(a, b)
+                    below += got
+            assert len(orbit.elements) < below < len(orbit.elements) ** 2
+
+    def test_each_element_expanded_at_most_once(self):
+        orbit = Orbit(OrbitSpec("B", 3))
+        original = orbit.covers_up
+        calls = []
+
+        def counting(w):
+            calls.append(w.word)
+            return original(w)
+
+        orbit.covers_up = counting
+        for a in orbit.elements:
+            for b in orbit.elements:
+                calls.clear()
+                orbit.bruhat_leq(a, b)
+                assert len(calls) == len(set(calls))
+
+
 class TestLiftAndClassify:
     def test_lift_worked_example(self, b2):
         # base path -x1 -> x2 -> x1 lifted from -2x1+x2 ends at 2x1-x2

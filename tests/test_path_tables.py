@@ -1,0 +1,222 @@
+"""Tests of the filtered path-sum tables: the table functions against the
+single-pair entry points, reachability pruning in the walker, error
+parity, and that each filter is built once per table."""
+
+import pytest
+
+import gkmrest.fibration as fibration
+from gkmrest.canonical import (
+    WeightClassAssignment,
+    ordered_table,
+    restriction_ordered,
+    restriction_single_form,
+)
+from gkmrest.errors import (
+    GraphFormatError,
+    NoSeparatingClass,
+    NoSeparatingLevel,
+    WeightNotPreserved,
+    WellDefinednessViolation,
+)
+from gkmrest.exact import Weight
+from gkmrest.fibration import (
+    TowerLevel,
+    TowerSpec,
+    tower_h_function,
+    tower_restriction,
+    tower_table,
+)
+from gkmrest.gkm import GkmGraph, OrientedGraphData
+from gkmrest.oracle import engine_entries
+from gkmrest.orbits import Orbit, OrbitSpec
+
+from conftest import product_of_projective_spaces
+
+
+@pytest.fixture(scope="module")
+def a2():
+    return Orbit(OrbitSpec("A", 2))
+
+
+@pytest.fixture(scope="module")
+def a3():
+    return Orbit(OrbitSpec("A", 3))
+
+
+@pytest.fixture(scope="module")
+def b3():
+    return Orbit(OrbitSpec("B", 3))
+
+
+def cube_od() -> OrientedGraphData:
+    """Product of three spheres: vertices are bit strings with their bits
+    as moments, so the canonical edges turn one 0 into a 1."""
+    verts, edges = [], []
+    for bits in range(8):
+        v = format(bits, "03b")
+        verts.append((v, Weight([int(b) for b in v])))
+        for i in range(3):
+            if v[i] == "0":
+                u = v[:i] + "1" + v[i + 1:]
+                w = [0, 0, 0]
+                w[i] = 1
+                edges.append((v, u, Weight(w)))
+    return OrientedGraphData(GkmGraph(3, verts, edges), Weight((1, 2, 4)))
+
+
+def ledger_key(ledger):
+    return [(t.path, t.value, t.levels) for t in ledger]
+
+
+def tower_classes(orbit):
+    return [lvl.moment for lvl in orbit.tower().levels]
+
+
+class TestReachable:
+    def test_cube_reachability(self):
+        od = cube_od()
+        reach = od.reachable
+        assert reach["000"] == frozenset(od.graph.ids)
+        assert reach["110"] == {"110", "111"}
+        assert reach["111"] == {"111"}
+        assert "001" not in reach["110"]
+
+    def test_matches_path_search(self, a3):
+        od = a3.od
+        for v in od.graph.ids:
+            seen, stack = {v}, [v]
+            while stack:
+                for u in od.up[stack.pop()]:
+                    if u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+            assert od.reachable[v] == seen
+
+
+class TestTableMatchesSinglePair:
+    """Every row on A3, every fourth on CP1^4 and every eighth on B3, to
+    keep the single-pair side (one filter build per pair) short."""
+
+    def check(self, rows, single, ids, step=1):
+        rows = list(rows)
+        assert [pq for pq, _, _ in rows] == [(p, q) for p in ids for q in ids]
+        sampled = set(ids[::step])
+        for (p, q), value, ledger in rows:
+            if p in sampled:
+                want, want_ledger = single(p, q)
+                assert value == want
+                assert ledger_key(ledger) == ledger_key(want_ledger)
+
+    def test_ordered(self, a3, b3):
+        graph = product_of_projective_spaces(1, 1, 1, 1)
+        cp1_4 = OrientedGraphData(graph, Weight([1, 2, 4, 8, 16, 32, 64, 128]))
+        for od, classes, step in ((a3.od, tower_classes(a3), 1),
+                                  (b3.od, tower_classes(b3), 8),
+                                  (cp1_4, [dict(cp1_4.graph.moment)], 4)):
+            self.check(ordered_table(od, classes),
+                       lambda p, q: restriction_ordered(od, p, q, classes),
+                       od.graph.ids, step)
+
+    def test_tower(self, a3, b3):
+        for orbit, step in ((a3, 1), (b3, 8)):
+            od, tower = orbit.od, orbit.tower()
+            self.check(tower_table(od, tower),
+                       lambda p, q: tower_restriction(od, tower, p, q),
+                       od.graph.ids, step)
+
+
+class TestPruning:
+    def moment_with(self, od, v, q):
+        """The moment class, except that v takes the value at q, so that
+        it does not separate v from q."""
+        cls = dict(od.graph.moment)
+        cls[v] = cls[q]
+        return cls
+
+    def test_raises_when_bad_vertex_reaches_q(self):
+        od = cube_od()
+        classes = [self.moment_with(od, "100", "111")]
+        with pytest.raises(WellDefinednessViolation):
+            restriction_ordered(od, "000", "111", classes)
+
+    def test_quiet_when_bad_vertex_cannot_reach_q(self):
+        # 110 lies below 001 in phi, so an unpruned walk from 000 enters
+        # it on the way to 001, but 001 is not reachable from 110
+        od = cube_od()
+        assert od.phi["110"] < od.phi["001"]
+        classes = [self.moment_with(od, "110", "001")]
+        value, ledger = restriction_ordered(od, "000", "001", classes)
+        assert value == restriction_single_form(od, "000", "001")
+        assert [t.path for t in ledger] == [("000", "001")]
+
+    def test_unreachable_target_is_zero_with_empty_ledger(self):
+        od = cube_od()
+        value, ledger = restriction_ordered(od, "110", "001", [dict(od.graph.moment)])
+        assert value.is_zero() and ledger == []
+
+
+class TestErrorParity:
+    def bad_towers(self, a2):
+        tw = a2.tower()
+        const = {v: a2.od.graph.ids[0] for v in a2.od.graph.ids}
+        mom = {v: a2.od.graph.moment[a2.od.graph.ids[0]] for v in a2.od.graph.ids}
+        h = tower_h_function(a2.od, tw)
+        # shift a whole level-one fiber, so moments stay constant on
+        # fibers and only weight preservation fails
+        a, b = next(edge for edge, j in h.items() if j == 1)
+        lvl1 = tw.levels[0]
+        shifted = {v: m + Weight((1, 2, 3)) if lvl1.projection[v] == lvl1.projection[b]
+                   else m for v, m in lvl1.moment.items()}
+        return [
+            (GraphFormatError, TowerSpec(tw.levels[:-1])),
+            (GraphFormatError, TowerSpec([tw.levels[1], tw.levels[0], tw.levels[1]])),
+            (GraphFormatError, TowerSpec([TowerLevel(projection=const, moment=mom)])),
+            (WeightNotPreserved, TowerSpec(
+                [TowerLevel(projection=lvl1.projection, moment=shifted)]
+                + tw.levels[1:])),
+        ]
+
+    def test_tower_table_raises_like_tower_restriction(self, a2):
+        ids = a2.od.graph.ids
+        for exc_type, bad in self.bad_towers(a2):
+            with pytest.raises(exc_type) as single:
+                tower_restriction(a2.od, bad, ids[0], ids[-1])
+            # raised by the call itself, before any pair is walked
+            with pytest.raises(exc_type) as table:
+                tower_table(a2.od, bad)
+            assert str(table.value) == str(single.value)
+
+    def test_no_separating_level_from_h_function(self, a2):
+        # validate() demands an identity top level, which separates every
+        # edge, so only an unvalidated tower can reach this error
+        ids = a2.od.graph.ids
+        const = TowerLevel(projection={v: ids[0] for v in ids},
+                           moment={v: a2.od.graph.moment[ids[0]] for v in ids})
+        with pytest.raises(NoSeparatingLevel):
+            tower_h_function(a2.od, TowerSpec([const]))
+
+    def test_ordered_table_raises_like_restriction_ordered(self, a2):
+        ids = a2.od.graph.ids
+        flat = {v: a2.od.graph.moment[ids[0]] for v in ids}
+        for exc_type, classes in ((NoSeparatingClass, [flat]),
+                                  (GraphFormatError, WeightClassAssignment())):
+            with pytest.raises(exc_type) as single:
+                restriction_ordered(a2.od, ids[0], ids[-1], classes)
+            with pytest.raises(exc_type) as table:
+                ordered_table(a2.od, classes)
+            assert str(table.value) == str(single.value)
+
+
+class TestFilterBuiltOnce:
+    def test_weight_check_runs_once_per_tower_table(self, a3, monkeypatch):
+        calls = []
+        original = fibration.check_weight_preserving
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(fibration, "check_weight_preserving", counting)
+        entries = engine_entries(a3, "tower")
+        assert len(entries) == len(a3.elements) ** 2
+        assert len(calls) == 1
