@@ -36,8 +36,9 @@ from .exact import LinFrac, Poly, Weight, linfrac_sum_to_poly, pair
 # because perfbench/selftest.py checks that the tracer wraps this binding
 from .gkm import OrientedGraphData, magnitude  # noqa: F401
 
-# a degree-two class is recorded by its restrictions: vertex id -> Weight
-VertexClass = Mapping[str, Weight]
+# A degree-two class is recorded by its restrictions, a Mapping[str, Weight]
+# from vertex id to weight.  No module-level alias: typing's cache would keep
+# the subscription, and with it this module, alive across re-imports.
 
 
 @dataclass
@@ -45,11 +46,11 @@ class WeightClassAssignment:
     """Degree-two classes supplied to the path-sum engines: either one class
     per vertex, or an ordered list shared by all vertices."""
 
-    per_vertex: Mapping[str, VertexClass] | None = None
-    ordered: Sequence[VertexClass] | None = None
+    per_vertex: Mapping[str, Mapping[str, Weight]] | None = None
+    ordered: Sequence[Mapping[str, Weight]] | None = None
 
 
-def _as_ordered_classes(classes) -> Sequence[VertexClass]:
+def _as_ordered_classes(classes) -> Sequence[Mapping[str, Weight]]:
     if isinstance(classes, WeightClassAssignment):
         if classes.ordered is None:
             raise GraphFormatError("assignment carries no ordered class list")
@@ -57,7 +58,7 @@ def _as_ordered_classes(classes) -> Sequence[VertexClass]:
     return classes
 
 
-def _as_vertex_classes(classes) -> Mapping[str, VertexClass]:
+def _as_vertex_classes(classes) -> Mapping[str, Mapping[str, Weight]]:
     if isinstance(classes, WeightClassAssignment):
         if classes.per_vertex is None:
             raise GraphFormatError("assignment carries no per-vertex classes")
@@ -184,7 +185,7 @@ def _edge_factor(od: OrientedGraphData, a: str, b: str) -> LinFrac:
 
 def restriction_vertex_classes(
     od: OrientedGraphData, p: str, q: str,
-    class_of: "Mapping[str, VertexClass] | WeightClassAssignment",
+    class_of: "Mapping[str, Mapping[str, Weight]] | WeightClassAssignment",
 ) -> tuple[Poly, list[PathTerm]]:
     """Path sum over all canonical-graph paths p -> q, each edge (a, b)
     contributing (w_a(b) - w_a(a)) / (w_a(q) - w_a(a)) times the edge label,
@@ -228,7 +229,7 @@ def restriction_vertex_classes(
 
 
 def build_h_function(
-    od: OrientedGraphData, classes: Sequence[VertexClass],
+    od: OrientedGraphData, classes: Sequence[Mapping[str, Weight]],
 ) -> dict[tuple[str, str], int]:
     """First level separating the endpoints of each canonical edge
     (1-based).  Raises NoSeparatingClass when some edge is separated by no
@@ -314,7 +315,7 @@ def filtered_path_table(od: OrientedGraphData, h_edge: Mapping[tuple[str, str], 
 
 def ordered_filter(
     od: OrientedGraphData,
-    classes: "Sequence[VertexClass] | WeightClassAssignment",
+    classes: "Sequence[Mapping[str, Weight]] | WeightClassAssignment",
 ) -> tuple[dict[tuple[str, str], int], Callable[[int, str], Weight]]:
     """The h-function and level values of an ordered class list, as
     filtered_path_sum takes them; raises NoSeparatingClass when some
@@ -325,7 +326,7 @@ def ordered_filter(
 
 def restriction_ordered(
     od: OrientedGraphData, p: str, q: str,
-    classes: "Sequence[VertexClass] | WeightClassAssignment",
+    classes: "Sequence[Mapping[str, Weight]] | WeightClassAssignment",
 ) -> tuple[Poly, list[PathTerm]]:
     """Filtered path sum for an ordered list of classes; callers are
     expected to have certified the vanishing hypothesis (verify_tech)."""
@@ -334,7 +335,7 @@ def restriction_ordered(
 
 def ordered_table(
     od: OrientedGraphData,
-    classes: "Sequence[VertexClass] | WeightClassAssignment",
+    classes: "Sequence[Mapping[str, Weight]] | WeightClassAssignment",
 ) -> Iterator[tuple[tuple[str, str], Poly, list[PathTerm]]]:
     """restriction_ordered for every pair, as ((p, q), value, ledger) in
     row-major order.  The filter is built once, and its errors are raised
@@ -344,7 +345,7 @@ def ordered_table(
 
 def verify_tech(
     od: OrientedGraphData,
-    classes: "Sequence[VertexClass] | WeightClassAssignment",
+    classes: "Sequence[Mapping[str, Weight]] | WeightClassAssignment",
     table: RestrictionTable,
 ) -> bool:
     """Check the vanishing hypothesis for an ordered class list: whenever
@@ -399,7 +400,7 @@ def _solve_congruences(
         add = u
         for h in used:
             add = add.mul_weight(h)
-        g = g + add
+        g = (g + add).with_int_coefficients()
         used.append(eta)
     return g
 
@@ -414,8 +415,7 @@ def brute_row(od: OrientedGraphData, p: str) -> dict[str, Poly]:
     d = od.lam[p]
     row: dict[str, Poly] = {}
     for v in od.order:
-        congs = [(g.edge_weight(r, v), row[r])
-                 for r in g.adj[v] if od.phi[r] < od.phi[v]]
+        congs = [(g.edge_weight(r, v), row[r]) for r in od.lower_adj[v]]
         if v == p:
             val = od.lambda_minus(p)
         elif od.lam[v] <= d:
@@ -479,7 +479,7 @@ class Certificate:
 def certify_table(
     od: OrientedGraphData,
     table: RestrictionTable,
-    integral_classes: Sequence[VertexClass] | None = None,
+    integral_classes: Sequence[Mapping[str, Weight]] | None = None,
 ) -> Certificate:
     """Check diagonal values, vanishing, homogeneity, edge divisibility,
     and the integrality of (w(r) - w(p)) * alpha_p(r) / lambda_minus(r)
@@ -512,9 +512,15 @@ def certify_table(
             continue
         seen.add((a, b))
         for p in g.ids:
-            diff = table.get(p, b) - table.get(p, a)
-            cert.note(diff.divisible_by_weight(eta),
-                      f"alpha_{p}({b}) - alpha_{p}({a}) not divisible by edge weight")
+            # a zero entry leaves the other one (up to sign) to check
+            vb, va = table.get(p, b), table.get(p, a)
+            if va.is_zero():
+                ok = vb.is_zero() or vb.divisible_by_weight(eta)
+            elif vb.is_zero():
+                ok = va.divisible_by_weight(eta)
+            else:
+                ok = (vb - va).divisible_by_weight(eta)
+            cert.note(ok, f"alpha_{p}({b}) - alpha_{p}({a}) not divisible by edge weight")
     for p in g.ids:
         for r in od.up[p]:
             val = table.get(p, r)

@@ -37,8 +37,17 @@ def _as_exact(x) -> int | Fraction:
         return int(x) if x.denominator == 1 else x
     if isinstance(x, float):
         raise TypeError("floating point input rejected; use int, Fraction, or 'a/b'")
+    if type(x) is str and _is_int_text(x):
+        return int(x)
     f = Fraction(x)
     return int(f) if f.denominator == 1 else f
+
+
+def _is_int_text(x: str) -> bool:
+    """ASCII digits with an optional leading minus: text that int() and
+    Fraction() both read, to the same value."""
+    body = x[1:] if x[:1] == "-" else x
+    return body.isascii() and body.isdigit()
 
 
 def _div_scalar(c, d):
@@ -53,6 +62,8 @@ def _div_scalar(c, d):
 
 def format_scalar(c) -> str:
     """Serialize a scalar as 'a/b', or 'a' when the denominator is 1."""
+    if type(c) is int:
+        return str(c)
     f = Fraction(c)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
@@ -270,6 +281,11 @@ class Poly:
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
+    def with_int_coefficients(self) -> "Poly":
+        """The same polynomial with every integral coefficient an int."""
+        return Poly(self.n, {e: c.numerator if type(c) is Fraction and c.denominator == 1
+                             else c for e, c in self.terms.items()}, _clean=True)
+
     def integer_coefficients(self) -> bool:
         return all(Fraction(c).denominator == 1 for c in self.terms.values())
 
@@ -482,10 +498,19 @@ class Poly:
 
     def substitute(self, images: Sequence[Weight], n_out: int) -> "Poly":
         """Linear change of variables x_i -> images[i] (a form in n_out
-        coordinates)."""
-        img = [Poly.from_weight(w) if not w.is_zero() else Poly.zero(n_out)
+        coordinates).
+
+        The images are scaled by the common denominator D of their
+        coordinates, so the expansion multiplies integral forms; a term of
+        degree k picks up D^k, which is divided out at the end.  Integral
+        coefficients come out as ints."""
+        den = 1
+        for w in images:
+            for c in w.coords:
+                if type(c) is Fraction:
+                    den = den * c.denominator // gcd(den, c.denominator)
+        img = [Poly.from_weight(den * w) if not w.is_zero() else Poly.zero(n_out)
                for w in images]
-        out = Poly.zero(n_out)
         cache: dict[tuple[int, int], Poly] = {}
 
         def power(i, k):
@@ -497,13 +522,20 @@ class Poly:
                 cache[(i, k)] = got
             return got
 
+        out: dict = {}
         for e, c in self.terms.items():
             t = Poly.const(n_out, c)
             for i, k in enumerate(e):
                 if k:
                     t = t * power(i, k)
-            out = out + t
-        return out
+            for e2, c2 in t.terms.items():
+                s = out.get(e2, 0) + c2
+                if s == 0:
+                    out.pop(e2, None)
+                else:
+                    out[e2] = s
+        return Poly(n_out, {e: _div_scalar(c, den ** sum(e)) for e, c in out.items()},
+                    _clean=True)
 
     # -- serialization -----------------------------------------------------
 

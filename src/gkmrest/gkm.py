@@ -215,8 +215,8 @@ class OrientedGraphData:
     """A graph together with a certified direction vector and the derived
     Morse data: phi values, indices, downward weight multisets, and their
     products.  The Morse data is built eagerly; edge scalars, gz
-    coefficients, the index-increasing flag and canonical reachability are
-    memoised on first use.
+    coefficients, the index-increasing flag, canonical reachability and the
+    lower neighbours are memoised on first use.
     """
 
     def __init__(self, graph: GkmGraph, xi: Weight):
@@ -344,6 +344,14 @@ class OrientedGraphData:
                 out |= reach[u]
             reach[v] = frozenset(out)
         return reach
+
+    @cached_property
+    def lower_adj(self) -> dict[str, tuple[str, ...]]:
+        """For each vertex, its neighbours with smaller phi, in adjacency
+        order."""
+        phi = self.phi
+        return {v: tuple(r for r in self.graph.adj[v] if phi[r] < phi[v])
+                for v in self.graph.ids}
 
 
 def _scaled_projections(weights, eta: Weight, xi: Weight):

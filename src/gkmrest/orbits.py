@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -440,7 +441,12 @@ class Orbit:
         self._base_od: OrientedGraphData | None = None
         self._base_fib: FibrationSpec | None = None
         self._typed_columns: dict[str, dict[str, Poly]] = {}
-        self._fiber_cache: dict = {}
+        # orbits the typed engine solves on (fibers, the type A image of
+        # rank-three type D), one per distinct spec (type, rank, mu)
+        self._children: dict[tuple[str, int, tuple], Orbit] = {}
+        # per base vertex: the fiber's child orbit, the free coordinates,
+        # and the map from fiber vertices to child vertices
+        self._fiber_children: dict[str, tuple[Orbit, list[int], dict[str, str]]] = {}
         self._paired_cache: dict[tuple[str, str], dict[str, Poly]] = {}
         self._bucket_cache: dict[tuple[str, str], dict] = {}
 
@@ -546,6 +552,51 @@ class Orbit:
                     for w in self.elements}
             self._base_fib = FibrationSpec(self.base_od(), vmap)
         return self._base_fib
+
+    # -- child orbits of the typed engine -------------------------------------
+
+    def child(self, ctype: str, rank: int, mu: Weight) -> "Orbit":
+        """The orbit of (ctype, rank, mu), built on first request and kept
+        on this orbit, so fibers with the same spec share one orbit and its
+        typed columns."""
+        key = (ctype, rank, mu.coords)
+        got = self._children.get(key)
+        if got is None:
+            got = self._children[key] = Orbit(OrbitSpec(ctype, rank, mu=mu.coords))
+        return got
+
+    def fiber_child(self, b: str) -> tuple["Orbit", list[int], dict[str, str]]:
+        """The orbit of rank one less (same type) solving the fiber over the
+        base vertex b, the free coordinates (all but b's axis), and the map
+        from fiber vertices, in sorted order, to child vertices."""
+        got = self._fiber_children.get(b)
+        if got is not None:
+            return got
+        fib = self.base_fibration()
+        axis, _ = _signed_axis(self.base_od().graph.moment[b])
+        free = [i for i in range(self.rs.ambient) if i != axis - 1]
+        moment = self.od.graph.moment
+        stripped = {v: Weight([moment[v].coords[i] for i in free])
+                    for v in sorted(fib.fiber_over(b, self.od.graph.ids))}
+        # the child base point is the phi-minimal strip; the xi pattern on
+        # the free coordinates preserves the ambient order
+        child_xi = Weight([self.xi.coords[i] for i in free])
+        child_min = min(stripped.values(), key=lambda w: pair(w, child_xi))
+        child = self.child(self.spec.ctype, self.spec.rank - 1, child_min)
+        vid_map = {v: _vertex_id(pt) for v, pt in stripped.items()}
+        got = self._fiber_children[b] = (child, free, vid_map)
+        return got
+
+    @cached_property
+    def a3_elements(self) -> dict[str, SignedPerm]:
+        """Rank-three type D only: each vertex's element of the type A
+        orbit of the translated point (see _d3_column_via_a3)."""
+        mu_a = _d3_point_to_a3(self.mu).coords
+        out = {}
+        for v in self.od.graph.ids:
+            target = _d3_point_to_a3(self.od.graph.moment[v]).coords
+            out[v] = SignedPerm(target.index(c) + 1 for c in mu_a)
+        return out
 
 
 def canonical_graph_orbit(orbit: Orbit, verify_theta: bool = True) -> CanonicalGraph:
@@ -922,66 +973,23 @@ def _rank1_b_column(orbit: Orbit, q_vid: str) -> dict[str, Poly]:
 
 def _fiber_column(orbit: Orbit, q_vid: str) -> dict[str, Poly]:
     """Fiber restrictions alpha-hat_s(q) for all s in the fiber through q,
-    solved on a fresh orbit of rank one less (same type) in the free
+    solved on the child orbit of rank one less (same type) in the free
     coordinates, then re-embedded into the ambient coordinates."""
-    fib = orbit.base_fibration()
-    b = fib.vertex_map[q_vid]
-    axis, sign = _signed_axis(orbit.base_od().graph.moment[b])
-    pinned = axis - 1
-    m = orbit.rs.ambient
-    free = [i for i in range(m) if i != pinned]
-    fiber = sorted(fib.fiber_over(b, orbit.od.graph.ids))
-
-    def strip(vid: str) -> Weight:
-        pt = orbit.od.graph.moment[vid]
-        return Weight([pt.coords[i] for i in free])
-
-    key = (b,)
-    cached = orbit._fiber_cache.get(key)
-    if cached is None:
-        stripped = {v: strip(v) for v in fiber}
-        # the child base point is the phi-minimal strip; the xi pattern on
-        # the free coordinates preserves the ambient order
-        child_xi = Weight([orbit.xi.coords[i] for i in free])
-        child_min = min(stripped.values(), key=lambda w: pair(w, child_xi))
-        child_spec = OrbitSpec(orbit.spec.ctype, orbit.spec.rank - 1,
-                               mu=child_min.coords)
-        child = Orbit(child_spec)
-        vid_map = {v: _vertex_id(stripped[v]) for v in fiber}
-        cached = (child, vid_map)
-        orbit._fiber_cache[key] = cached
-    child, vid_map = cached
+    child, free, vid_map = orbit.fiber_child(orbit.base_fibration().vertex_map[q_vid])
     child_col = typed_column(child, vid_map[q_vid])
-    return {v: _embed_poly(child_col[vid_map[v]], free, m) for v in fiber}
+    m = orbit.rs.ambient
+    return {v: _embed_poly(child_col[cv], free, m) for v, cv in vid_map.items()}
 
 
 def _d3_column_via_a3(orbit: Orbit, q_vid: str) -> dict[str, Poly]:
     """Rank-three type D translated through the rank-three type A orbit:
     points map through the coordinate identification, values map back by
     substituting the inverse forms."""
-    m = orbit.rs.ambient  # = 3
-    a_points = {v: _d3_point_to_a3(orbit.od.graph.moment[v])
-                for v in orbit.od.graph.ids}
-    mu_a = _d3_point_to_a3(orbit.mu)
-    a_spec = OrbitSpec("A", 3, mu=mu_a.coords)
-    a_orbit = orbit._fiber_cache.get(("a3", mu_a.coords))
-    if a_orbit is None:
-        a_orbit = Orbit(a_spec)
-        orbit._fiber_cache[("a3", mu_a.coords)] = a_orbit
-
-    def a_perm(v: str) -> SignedPerm:
-        target = a_points[v].coords
-        word = [0] * 4
-        for slot, c in enumerate(mu_a.coords):
-            word[slot] = target.index(c) + 1
-        return SignedPerm(word)
-
-    wq = a_perm(q_vid)
-    out = {}
-    for v in orbit.od.graph.ids:
-        val, _ = formula_AC(a_orbit, a_perm(v), wq)
-        out[v] = val.substitute(_A3_TO_D3, m)
-    return out
+    a_orbit = orbit.child("A", 3, _d3_point_to_a3(orbit.mu))
+    perms = orbit.a3_elements
+    wq = perms[q_vid]
+    return {v: formula_AC(a_orbit, perms[v], wq)[0].substitute(_A3_TO_D3, 3)
+            for v in orbit.od.graph.ids}
 
 
 def _paired_sums(orbit: Orbit, p_vid: str, b: str) -> dict[str, Poly]:

@@ -210,6 +210,30 @@ class TestCertify:
         cert = certify_table(od, RestrictionTable(od, bad))
         assert not cert.ok
 
+    def test_fault_next_to_zero_entry(self):
+        # alpha_p(a) = 0 on the edge (a, b), and alpha_p(b) gets x1^2 added:
+        # the edge check reads the one nonzero entry.  Count and messages
+        # are those of subtracting the two entries on every edge.
+        from gkmrest.orbits import Orbit, OrbitSpec
+        od = Orbit(OrbitSpec("A", 3)).od
+        tab = table_single_form(od)
+        p, a, b = "-2,-3,6,-1", "-1,-2,-3,6", "-1,-2,6,-3"
+        assert od.graph.has_edge(a, b) and tab.get(p, a).is_zero()
+        bad = dict(tab.entries)
+        bad[(p, b)] = tab.get(p, b) + parse_poly("x1^2", 4)
+        cert = certify_table(od, RestrictionTable(od, bad))
+        assert cert.checks == 2316
+        tail = "not divisible by edge weight"
+        assert cert.failures == [
+            f"alpha_{p}(-1,-2,6,-3) - alpha_{p}(-3,-2,6,-1) {tail}",
+            f"alpha_{p}(-1,-2,6,-3) - alpha_{p}(-1,-2,-3,6) {tail}",
+            f"alpha_{p}(-1,-2,6,-3) - alpha_{p}(-2,-1,6,-3) {tail}",
+            f"alpha_{p}(-1,-2,6,-3) - alpha_{p}(-1,-3,6,-2) {tail}",
+            f"alpha_{p}(6,-2,-1,-3) - alpha_{p}(-1,-2,6,-3) {tail}",
+            f"alpha_{p}(-1,6,-2,-3) - alpha_{p}(-1,-2,6,-3) {tail}",
+        ]
+        assert certify_table(od, tab).checks == 2316
+
     def test_minimum_row_is_all_ones(self, cp2_oriented):
         od = cp2_oriented
         tab = table_single_form(od)

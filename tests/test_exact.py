@@ -10,6 +10,8 @@ from gkmrest.exact import (
     LinFrac,
     Poly,
     Weight,
+    _as_exact,
+    format_scalar,
     linfrac_sum_to_poly,
     pair,
     parse_poly,
@@ -174,6 +176,78 @@ class TestDivision:
         p = parse_poly("x1*x2", 2)
         q = p.substitute([Weight((1, 1)), Weight((1, -1))], 2)
         assert q == parse_poly("x1^2 - x2^2", 2)
+
+    def test_substitute_half_integer_images(self):
+        # against expanding each monomial by Poly arithmetic; the images
+        # are the rank-three type A to type D forms, plus a zero image
+        half = Fraction(1, 2)
+        images = [W(half, half, half), W(half, -half, -half),
+                  W(-half, half, -half), W(0, 0, 0)]
+        rng = random.Random(7)
+        for _ in range(20):
+            terms = {}
+            for _ in range(6):
+                e = tuple(rng.randint(0, 2) for _ in range(4))
+                terms[e] = rng.choice([1, -2, 3, Fraction(1, 3), Fraction(-5, 2)])
+            p = Poly(4, terms)
+            want = Poly.zero(3)
+            for e, c in p.terms.items():
+                t = Poly.const(3, c)
+                for i, k in enumerate(e):
+                    for _ in range(k):
+                        t = t * Poly.from_weight(images[i])
+                want = want + t
+            got = p.substitute(images, 3)
+            assert got == want
+            for c in got.terms.values():
+                assert type(c) is int or c.denominator != 1
+
+    def test_substitute_integral_result_is_int(self):
+        # (x1 + x2)^2 under x_i -> forms with halves: 4 * (1/2)^2 * y1^2
+        half = Fraction(1, 2)
+        p = parse_poly("x1^2 + 2*x1*x2 + x2^2", 2)
+        got = p.substitute([W(half, half), W(half, -half)], 2)
+        assert got.terms == {(2, 0): 1}
+        assert type(got.terms[(2, 0)]) is int
+
+
+class TestScalarText:
+    """The int fast paths of _as_exact and format_scalar agree with going
+    through Fraction: same values, same types, same exceptions."""
+
+    TEXTS = ["+3", " 3", "3_0", "007", "-0", "1/2", "", "--3", "3", "-12",
+             "0", "-", "3 ", "1/0", "-4/2", "1.5", "\u0663", "\u00b2", "-+3",
+             "12345678901234567890123"]
+
+    @staticmethod
+    def _via_fraction(x):
+        f = Fraction(x)
+        return int(f) if f.denominator == 1 else f
+
+    @staticmethod
+    def _outcome(fn, x):
+        try:
+            v = fn(x)
+        except Exception as exc:  # compared by type below
+            return ("raises", type(exc))
+        return ("value", type(v), v)
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_as_exact_matches_fraction(self, text):
+        assert self._outcome(_as_exact, text) == self._outcome(self._via_fraction, text)
+
+    @pytest.mark.parametrize("c", [0, 1, -1, 7, -12, 2 ** 70, -(3 ** 50), True,
+                                   Fraction(1, 2), Fraction(-6, 4), Fraction(4, 2)])
+    def test_format_scalar_matches_fraction(self, c):
+        f = Fraction(c)
+        want = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        assert format_scalar(c) == want
+
+    def test_from_json_reads_ints(self):
+        p = Poly.from_json(2, [{"exp": [1, 0], "coeff": "-3"},
+                               {"exp": [0, 1], "coeff": "4/2"}])
+        assert p.terms == {(1, 0): -3, (0, 1): 2}
+        assert all(type(c) is int for c in p.terms.values())
 
 
 class TestLinFrac:

@@ -131,6 +131,14 @@ class TestIndexIncreasing:
         assert cp2_oriented.index_increasing is True
         assert vars(cp2_oriented)["index_increasing"] is True
 
+    def test_lower_adj_memoised_in_adjacency_order(self, cp2_oriented):
+        od = cp2_oriented
+        assert "lower_adj" not in vars(od)
+        want = {v: tuple(r for r in od.graph.adj[v] if od.phi[r] < od.phi[v])
+                for v in od.graph.ids}
+        assert od.lower_adj == want
+        assert vars(od)["lower_adj"] is od.lower_adj
+
 
 class TestMagnitude:
     def test_projective_plane_unit(self, cp2):
