@@ -64,6 +64,6 @@ from .orbits import (
     typed_table,
     weyl_length,
 )
-from .oracle import billey_restriction, cross_validate
+from .oracle import billey_restriction, cross_validate, engine_entries, engine_entry
 
 __version__ = "0.1.0"

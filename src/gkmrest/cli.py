@@ -15,16 +15,9 @@ import argparse
 import json
 import sys
 
-from .canonical import (
-    RestrictionTable,
-    brute_row,
-    restriction_ordered,
-    restriction_single_form,
-    single_form_column,
-)
+from .canonical import RestrictionTable
 from .errors import GkmError
-from .exact import Poly, Weight, format_scalar
-from .fibration import tower_restriction
+from .exact import Weight, format_scalar
 from .gkm import (
     GkmGraph,
     OrientedGraphData,
@@ -32,14 +25,8 @@ from .gkm import (
     export_dot,
     validate_gkm,
 )
-from .oracle import (
-    ENGINES,
-    ORBIT_ENGINES,
-    billey_restriction,
-    cross_validate,
-    engine_entries,
-)
-from .orbits import Orbit, OrbitSpec, SignedPerm, build_orbit_gkm, typed_restriction
+from .oracle import ENGINES, cross_validate, engine_entries, engine_entry
+from .orbits import Orbit, OrbitSpec, SignedPerm, build_orbit_gkm
 
 
 def _add_source_args(sub, orbit_only=False):
@@ -54,7 +41,8 @@ def _add_source_args(sub, orbit_only=False):
 
 
 def _load_target(args):
-    """Return (orbit_or_None, oriented_data)."""
+    """Return (target, oriented_data); the target is the Orbit, or on graph
+    input the oriented graph itself."""
     if getattr(args, "graph", None):
         with open(args.graph, "r", encoding="utf-8") as fh:
             g = GkmGraph.from_json(fh.read())
@@ -62,7 +50,7 @@ def _load_target(args):
         if not rep.ok:
             raise GkmError(f"invalid graph:\n{rep}")
         od = OrientedGraphData(g, choose_generic_xi(g, seed=args.seed))
-        return None, od
+        return od, od
     if args.ctype is None or args.rank is None:
         raise GkmError("need --graph or both --type and --rank")
     mu = None
@@ -72,11 +60,11 @@ def _load_target(args):
     return orbit, orbit.od
 
 
-def _resolve_vertex(orbit, od, text: str) -> str:
+def _resolve_vertex(target, od, text: str) -> str:
     """Vertex addressing: a literal vertex id, moment coordinates
     'a,b,..', or, on orbits, a signed one-line Weyl element 'w:2,-1'."""
-    if orbit is not None and text.startswith("w:"):
-        return orbit.vertex(SignedPerm.from_string(text[2:]))
+    if isinstance(target, Orbit) and text.startswith("w:"):
+        return target.vertex(SignedPerm.from_string(text[2:]))
     if text in od.graph.moment:
         return text
     try:
@@ -101,47 +89,11 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _restrict_value(args, orbit, od, p, q):
-    engine = args.engine
-    ledger = None
-    if engine == "gz":
-        value = restriction_single_form(od, p, q)
-    elif engine == "brute":
-        value = brute_row(od, p)[q]
-    elif engine == "ordered":
-        if orbit is not None:
-            classes = [lvl.moment for lvl in orbit.tower().levels]
-        else:
-            classes = [dict(od.graph.moment)]
-        value, ledger = restriction_ordered(od, p, q, classes)
-    elif engine == "tower":
-        if orbit is None:
-            raise GkmError("tower engine needs an orbit input")
-        value, ledger = tower_restriction(od, orbit.tower(), p, q)
-    elif engine == "typed":
-        if orbit is None:
-            raise GkmError("typed engine needs an orbit input")
-        if orbit.spec.ctype in ("A", "C") and args.ledger:
-            from .orbits import formula_AC
-            value, ledger = formula_AC(orbit, p, q)
-        else:
-            value = typed_restriction(orbit, p, q)
-    elif engine == "billey":
-        if orbit is None:
-            raise GkmError("subword oracle needs an orbit input")
-        wp = SignedPerm(orbit.word_of_vid[p])
-        wq = SignedPerm(orbit.word_of_vid[q])
-        value = billey_restriction(orbit.rs, wp, wq)
-    else:
-        raise GkmError(f"unknown engine {engine!r}")
-    return value, ledger
-
-
 def cmd_restrict(args) -> int:
-    orbit, od = _load_target(args)
-    p = _resolve_vertex(orbit, od, args.p)
-    q = _resolve_vertex(orbit, od, args.q)
-    value, ledger = _restrict_value(args, orbit, od, p, q)
+    target, od = _load_target(args)
+    p = _resolve_vertex(target, od, args.p)
+    q = _resolve_vertex(target, od, args.q)
+    value, ledger = engine_entry(target, args.engine, p, q)
     if args.format == "json":
         out = {"p": p, "q": q, "engine": args.engine, "value": value.to_json()}
         if args.ledger and ledger is not None:
@@ -159,21 +111,9 @@ def cmd_restrict(args) -> int:
     return 0
 
 
-def _table_entries(args, orbit, od):
-    jobs = getattr(args, "jobs", 1) or 1
-    if args.engine in ("gz", "typed", "brute") and jobs > 1:
-        entries = _parallel_table(args.engine, orbit, od, jobs)
-        if entries is not None:
-            return entries
-    return engine_entries(orbit if orbit is not None else od, args.engine)
-
-
 def cmd_table(args) -> int:
-    orbit, od = _load_target(args)
-    if args.engine in ORBIT_ENGINES and orbit is None:
-        raise GkmError(f"engine {args.engine!r} needs an orbit input")
-    entries = _table_entries(args, orbit, od)
-    table = RestrictionTable(od, entries)
+    target, od = _load_target(args)
+    table = RestrictionTable(od, engine_entries(target, args.engine, jobs=args.jobs))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(table.to_csv() + "\n")
@@ -200,9 +140,9 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    orbit, od = _load_target(args)
+    target, _ = _load_target(args)
     engines = args.engines.split(",") if args.engines else None
-    report = cross_validate(orbit if orbit is not None else od, engines)
+    report = cross_validate(target, engines, jobs=args.jobs)
     if args.format == "json":
         print(json.dumps(report.to_json(), sort_keys=True))
     else:
@@ -214,52 +154,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_export(args) -> int:
-    orbit, od = _load_target(args)
+    _, od = _load_target(args)
     if args.dot:
         print(export_dot(od, canonical=args.canonical))
     else:
         print(json.dumps(od.graph.to_json(), sort_keys=True))
     return 0
-
-
-# -- optional parallel table computation -------------------------------------
-
-_FORK_CTX: dict = {}
-
-
-def _column_worker(q):
-    od = _FORK_CTX["od"]
-    orbit = _FORK_CTX["orbit"]
-    engine = _FORK_CTX["engine"]
-    if engine == "gz":
-        col = single_form_column(od, q)
-    else:
-        from .orbits import typed_column
-        col = typed_column(orbit, q)
-    return q, [(p, poly.to_json()) for p, poly in col.items()]
-
-
-def _row_worker(p):
-    od = _FORK_CTX["od"]
-    row = brute_row(od, p)
-    return p, [(q, poly.to_json()) for q, poly in row.items()]
-
-
-def _parallel_table(engine, orbit, od, jobs):
-    import multiprocessing as mp
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:
-        return None
-    _FORK_CTX.update({"od": od, "orbit": orbit, "engine": engine})
-    worker = _row_worker if engine == "brute" else _column_worker
-    entries: dict[tuple[str, str], Poly] = {}
-    with ctx.Pool(processes=jobs) as pool:
-        for key, items in pool.map(worker, od.graph.ids):
-            for other, data in items:
-                pq = (other, key) if engine != "brute" else (key, other)
-                entries[pq] = Poly.from_json(od.rank, data)
-    return entries
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--out", help="write the JSON table to a file")
     p_tab.add_argument("--csv", help="write a CSV summary to a file")
     p_tab.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for rows/columns")
+                       help="worker processes for a table computed by columns or rows")
     p_tab.set_defaults(func=cmd_table)
 
     p_orb = sub.add_parser("orbit", help="emit an orbit graph")
@@ -306,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p_cmp)
     p_cmp.add_argument("--engines", help="comma-separated engine list")
     p_cmp.add_argument("--format", choices=("text", "json"), default="text")
-    p_cmp.add_argument("--jobs", type=int, default=1)
+    p_cmp.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for the tables computed by columns or rows")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_exp = sub.add_parser("export", help="graph export")

@@ -1,40 +1,47 @@
-"""Independent cross-checks.
+"""Independent cross-checks, and the registry through which every engine
+is run.
 
 The reduced-subword localization formula computes restrictions on flag
 orbits from Weyl combinatorics alone: fix a reduced word for v; every
 subword that is a reduced word for w contributes the product of the
 prefix-transformed simple roots at its positions.  It shares no code path
 with the graph engines, which makes it a genuine oracle for them.
+
+ENGINES maps each engine name to how it computes an entry and a table;
+engine_entry and engine_entries are the only dispatch to the engines.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 from .canonical import (
-    brute_solve_canonical,
+    brute_row,
     ordered_table,
-    table_single_form,
+    restriction_ordered,
+    restriction_single_form,
+    single_form_column,
 )
 from .errors import GkmError, SubwordCapExceeded
 from .exact import Poly
-from .fibration import tower_table
+from .fibration import tower_restriction, tower_table
 from .gkm import OrientedGraphData
 from .orbits import (
     Orbit,
     RootSystem,
     SignedPerm,
+    formula_AC,
     inversion_prefix_roots,
     lexmin_reduced_word,
-    typed_table,
+    typed_column,
+    typed_restriction,
     weyl_length,
 )
 
 SUBWORD_CAP = 12
-
-ENGINES = ("gz", "ordered", "tower", "typed", "brute", "billey")
-ORBIT_ENGINES = ("tower", "typed", "billey")
 
 
 def billey_restriction(rs: RootSystem, w: SignedPerm, v: SignedPerm,
@@ -99,6 +106,128 @@ def billey_table_entries(orbit: Orbit) -> dict[tuple[str, str], Poly]:
 
 
 # ---------------------------------------------------------------------------
+# Engine registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Engine:
+    """How one engine answers.  entry(orbit, od, p, q) gives (value,
+    ledger), the ledger being its path terms or None.  A table comes from
+    one of column(orbit, od, q) (values keyed by p), row(orbit, od, p)
+    (values keyed by q) or table(orbit, od).  orbit is None on a plain
+    graph, which orbit_only engines refuse."""
+
+    orbit_only: bool
+    entry: Callable
+    column: Callable | None = None
+    row: Callable | None = None
+    table: Callable | None = None
+
+
+def _ordered_classes(orbit: Orbit | None, od: OrientedGraphData) -> list:
+    """The ordered engine's classes: the tower's pulled-back moments on an
+    orbit, the moment map alone on a plain graph."""
+    if orbit is None:
+        return [dict(od.graph.moment)]
+    return [lvl.moment for lvl in orbit.tower().levels]
+
+
+def _typed_entry(orbit: Orbit, od, p: str, q: str):
+    if orbit.spec.ctype in ("A", "C"):
+        return formula_AC(orbit, p, q)
+    return typed_restriction(orbit, p, q), None
+
+
+def _billey_entry(orbit: Orbit, od, p: str, q: str):
+    return billey_restriction(orbit.rs, SignedPerm(orbit.word_of_vid[p]),
+                              SignedPerm(orbit.word_of_vid[q])), None
+
+
+# the callables look their functions up at call time, so that a tracer
+# that rebinds the module's names sees every engine call
+ENGINES: dict[str, Engine] = {
+    "gz": Engine(
+        False, lambda orbit, od, p, q: (restriction_single_form(od, p, q), None),
+        column=lambda orbit, od, q: single_form_column(od, q)),
+    "ordered": Engine(
+        False, lambda orbit, od, p, q: restriction_ordered(
+            od, p, q, _ordered_classes(orbit, od)),
+        table=lambda orbit, od: {pq: value for pq, value, _ in ordered_table(
+            od, _ordered_classes(orbit, od))}),
+    "tower": Engine(
+        True, lambda orbit, od, p, q: tower_restriction(od, orbit.tower(), p, q),
+        table=lambda orbit, od: {pq: value for pq, value, _ in tower_table(
+            od, orbit.tower())}),
+    "typed": Engine(
+        True, _typed_entry, column=lambda orbit, od, q: typed_column(orbit, q)),
+    "brute": Engine(
+        False, lambda orbit, od, p, q: (brute_row(od, p)[q], None),
+        row=lambda orbit, od, p: brute_row(od, p)),
+    "billey": Engine(
+        True, _billey_entry, table=lambda orbit, od: billey_table_entries(orbit)),
+}
+
+
+def _resolve(target, engine: str) -> tuple[Engine, Orbit | None, OrientedGraphData]:
+    """The record of `engine`, the orbit (None on a plain graph) and the
+    oriented graph of target.  Raises a GkmError naming the engine when it
+    is unknown, or needs an orbit and target is a plain graph."""
+    record = ENGINES.get(engine)
+    if record is None:
+        raise GkmError(f"unknown engine {engine!r}")
+    orbit = target if isinstance(target, Orbit) else None
+    if record.orbit_only and orbit is None:
+        raise GkmError(f"the {engine} engine needs an orbit input, not a graph")
+    return record, orbit, target.od if orbit is not None else target
+
+
+def engine_entry(target, engine: str, p: str, q: str) -> tuple[Poly, list | None]:
+    """alpha_p(q) by one engine on an Orbit or OrientedGraphData, with the
+    engine's path ledger (None for an engine without one)."""
+    record, orbit, od = _resolve(target, engine)
+    return record.entry(orbit, od, p, q)
+
+
+def engine_entries(target, engine: str, jobs: int = 1) -> dict[tuple[str, str], Poly]:
+    """Full table of one engine on an Orbit or OrientedGraphData.  Columns
+    or rows are computed in min(jobs, vertices) forked workers when that is
+    more than one; the result does not depend on jobs."""
+    record, orbit, od = _resolve(target, engine)
+    if jobs < 1:
+        raise GkmError(f"jobs must be at least 1, got {jobs}")
+    if record.table is not None:
+        return record.table(orbit, od)
+    by_column = record.column is not None
+    part = partial(record.column if by_column else record.row, orbit, od)
+    ids = od.graph.ids
+    workers = min(jobs, len(ids))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(workers, _set_worker_part, (part,)) as pool:
+            slices = list(pool.imap(_worker_slice, ids))
+    else:
+        slices = ((key, part(key)) for key in ids)
+    entries: dict[tuple[str, str], Poly] = {}
+    for key, values in slices:
+        for other, value in values.items():
+            entries[(other, key) if by_column else (key, other)] = value
+    return entries
+
+
+_worker_part: Callable | None = None
+
+
+def _set_worker_part(part: Callable):
+    """Pool initializer: forked workers inherit `part` without pickling."""
+    global _worker_part
+    _worker_part = part
+
+
+def _worker_slice(key: str) -> tuple[str, dict]:
+    return key, _worker_part(key)
+
+
+# ---------------------------------------------------------------------------
 # Multi-engine comparison
 # ---------------------------------------------------------------------------
 
@@ -156,44 +285,12 @@ def available_engines(target) -> list[str]:
     return ["gz", "ordered", "brute"]
 
 
-def _check_engine(target, engine: str):
-    """Raise a GkmError naming the engine when it is unknown, or needs an
-    Orbit and target is a plain oriented graph."""
-    if engine not in ENGINES:
-        raise GkmError(f"unknown engine {engine!r}")
-    if engine in ORBIT_ENGINES and not isinstance(target, Orbit):
-        raise GkmError(f"{engine} engine needs an orbit")
-
-
-def engine_entries(target, engine: str) -> dict[tuple[str, str], Poly]:
-    """Full table of one engine on an Orbit or OrientedGraphData."""
-    _check_engine(target, engine)
-    orbit = target if isinstance(target, Orbit) else None
-    od = orbit.od if orbit is not None else target
-    if engine == "gz":
-        return table_single_form(od).entries
-    if engine == "brute":
-        return brute_solve_canonical(od).entries
-    if engine == "ordered":
-        if orbit is not None:
-            tower = orbit.tower()
-            classes = [lvl.moment for lvl in tower.levels]
-        else:
-            classes = [dict(od.graph.moment)]
-        return {pq: value for pq, value, _ in ordered_table(od, classes)}
-    if engine == "tower":
-        return {pq: value for pq, value, _ in tower_table(od, orbit.tower())}
-    if engine == "typed":
-        return typed_table(orbit).entries
-    return billey_table_entries(orbit)
-
-
-def cross_validate(target, engines: Sequence[str] | None = None) -> CrossReport:
-    """Run several engines over every pair and compare exactly."""
+def cross_validate(target, engines: Sequence[str] | None = None,
+                   jobs: int = 1) -> CrossReport:
+    """Run several engines over every pair and compare exactly; column and
+    row engines use `jobs` workers (see engine_entries)."""
     if engines is None:
         engines = available_engines(target)
-    for e in engines:
-        _check_engine(target, e)
-    tables = {e: engine_entries(target, e) for e in engines}
-    ids = (target.od if isinstance(target, Orbit) else target).graph.ids
-    return compare_tables(tables, ids)
+    ods = [_resolve(target, e)[2] for e in engines]  # every name checked before any run
+    tables = {e: engine_entries(target, e, jobs=jobs) for e in engines}
+    return compare_tables(tables, ods[0].graph.ids)

@@ -35,6 +35,44 @@ def run(capsys, *argv):
     return code, out
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """Replace the fork context with one whose pools run in this process
+    and record their size and the slice function they were given."""
+    import multiprocessing
+
+    import gkmrest.oracle as oracle
+    log = []
+
+    class FakePool:
+        def __init__(self, processes, initializer, initargs):
+            log.append({"processes": processes, "part": initargs[0]})
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, keys):
+            return map(fn, keys)
+
+    class Context:
+        Pool = FakePool
+
+    # the in-process initializer sets it here; put it back afterwards
+    monkeypatch.setattr(oracle, "_worker_part", None, raising=False)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: Context())
+    return log
+
+
+def pooled_engines(log):
+    from gkmrest.oracle import ENGINES
+    return [next(name for name, rec in ENGINES.items()
+                 if entry["part"].func in (rec.column, rec.row)) for entry in log]
+
+
 class TestValidate:
     def test_valid_graph(self, capsys, cp2_file):
         code, out = run(capsys, "validate", "--graph", cp2_file)
@@ -117,17 +155,17 @@ class TestRestrict:
     def test_brute_reads_one_row(self, capsys, monkeypatch):
         """restrict --engine brute solves only the row of p, and gives the
         entry of the full brute table."""
-        import gkmrest.cli as cli
+        import gkmrest.oracle as oracle
         from gkmrest.canonical import brute_solve_canonical
         from gkmrest.orbits import Orbit, OrbitSpec
         calls = []
-        original = cli.brute_row
+        original = oracle.brute_row
 
         def counting(od, p):
             calls.append(p)
             return original(od, p)
 
-        monkeypatch.setattr(cli, "brute_row", counting)
+        monkeypatch.setattr(oracle, "brute_row", counting)
         for ctype, rank in (("B", 2), ("A", 3)):
             orbit = Orbit(OrbitSpec(ctype, rank))
             table = brute_solve_canonical(orbit.od)
@@ -174,6 +212,36 @@ class TestTable:
                           "--jobs", "2")
         assert serial == parallel
 
+    def test_pool_size_is_capped_by_slices(self, capsys, pools):
+        """A2 has 6 vertices, so 6 columns: --jobs 500 asks for 6 workers."""
+        _, serial = run(capsys, "table", "--type", "A", "--rank", "2")
+        assert pools == []
+        for engine in ("gz", "typed", "brute"):
+            pools.clear()
+            code, out = run(capsys, "table", "--type", "A", "--rank", "2",
+                            "--engine", engine, "--jobs", "500")
+            assert code == 0 and out == serial
+            assert [e["processes"] for e in pools] == [6]
+            assert pooled_engines(pools) == [engine]
+
+    @pytest.mark.parametrize("command", ["table", "compare"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, capsys, pools, command, jobs):
+        code = main([command, "--type", "A", "--rank", "2", "--jobs", jobs])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "jobs" in err and jobs in err and "Traceback" not in err
+        assert pools == []
+
+    @pytest.mark.parametrize("engine", ["tower", "typed", "billey"])
+    def test_orbit_only_engine_on_graph_exits_2(self, capsys, cp2_file, engine):
+        for argv in (["restrict", "--p", "p1", "--q", "p2"], ["table"]):
+            code = main([*argv, "--graph", cp2_file, "--engine", engine])
+            captured = capsys.readouterr()
+            assert code == 2, argv
+            assert engine in captured.err and "Traceback" not in captured.err
+            assert captured.out == ""
+
 
 class TestOrbitCommand:
     def test_emitted_graph_validates(self, capsys):
@@ -216,6 +284,16 @@ class TestCompare:
         err = capsys.readouterr().err
         assert code == 2
         assert "nope" in err and "Traceback" not in err
+
+    def test_jobs_run_tables_in_the_pool(self, capsys, pools):
+        argv = ("compare", "--type", "A", "--rank", "2", "--format", "json")
+        code, serial = run(capsys, *argv, "--jobs", "1")
+        assert code == 0 and pools == []
+        code, parallel = run(capsys, *argv, "--jobs", "2")
+        assert code == 0
+        assert parallel == serial
+        assert pooled_engines(pools) == ["gz", "typed", "brute"]
+        assert [e["processes"] for e in pools] == [2, 2, 2]
 
     def test_json_format(self, capsys):
         code, out = run(capsys, "compare", "--type", "C", "--rank", "2",

@@ -5,14 +5,17 @@ from fractions import Fraction
 import pytest
 
 from gkmrest.canonical import table_single_form
-from gkmrest.errors import SubwordCapExceeded
+from gkmrest.errors import GkmError, SubwordCapExceeded
 from gkmrest.exact import Poly, Weight, parse_poly
 from gkmrest.oracle import (
+    ENGINES,
+    available_engines,
     billey_restriction,
     billey_table_entries,
     compare_tables,
     cross_validate,
     engine_entries,
+    engine_entry,
 )
 from gkmrest.orbits import (
     Orbit,
@@ -131,3 +134,61 @@ class TestCrossValidate:
         rep = cross_validate(a2, engines=["gz", "brute"])
         data = rep.to_json()
         assert set(data) == {"engines", "pairs_checked", "mismatches"}
+
+
+class TestRegistry:
+    """engine_entry and engine_entries are two views of one registry
+    record, so they must agree entry by entry."""
+
+    @staticmethod
+    def _check_parity(target, od, engine):
+        table = engine_entries(target, engine)
+        ids = od.graph.ids
+        assert set(table) == {(p, q) for p in ids for q in ids}
+        ledgers = set()
+        for p in ids:
+            for q in ids:
+                value, ledger = engine_entry(target, engine, p, q)
+                assert value == table[(p, q)], (engine, p, q)
+                ledgers.add(ledger is not None)
+        return ledgers
+
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_entry_matches_table_on_orbits(self, a2, b2, engine):
+        for orbit in (a2, b2):
+            ledgers = self._check_parity(orbit, orbit.od, engine)
+            has_ledger = engine in ("ordered", "tower") or (
+                engine == "typed" and orbit.spec.ctype in ("A", "C"))
+            assert ledgers == {has_ledger}, (engine, orbit.spec)
+
+    @pytest.mark.parametrize("engine", ["gz", "ordered", "brute"])
+    def test_entry_matches_table_on_graph(self, cp2_oriented, engine):
+        ledgers = self._check_parity(cp2_oriented, cp2_oriented, engine)
+        assert ledgers == {engine == "ordered"}
+
+    def test_engine_choices_are_the_registry(self):
+        import argparse
+        from gkmrest.cli import build_parser
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command in ("restrict", "table"):
+            action = next(a for a in sub.choices[command]._actions if a.dest == "engine")
+            assert list(action.choices) == list(ENGINES)
+
+    def test_available_engines_unchanged(self, cp2_oriented):
+        assert available_engines(Orbit(OrbitSpec("A", 3))) == [
+            "gz", "typed", "brute", "ordered", "tower", "billey"]
+        assert available_engines(Orbit(OrbitSpec("B", 3))) == [
+            "gz", "typed", "brute", "ordered", "tower"]
+        assert available_engines(cp2_oriented) == ["gz", "ordered", "brute"]
+
+    @pytest.mark.parametrize("engine", ["tower", "typed", "billey"])
+    def test_orbit_only_engines_refuse_a_graph(self, cp2_oriented, engine):
+        with pytest.raises(GkmError, match=engine):
+            engine_entry(cp2_oriented, engine, "p1", "p2")
+        with pytest.raises(GkmError, match=engine):
+            engine_entries(cp2_oriented, engine)
+
+    def test_unknown_engine(self, a2):
+        with pytest.raises(GkmError, match="nope"):
+            engine_entries(a2, "nope")
