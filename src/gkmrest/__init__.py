@@ -5,11 +5,9 @@ independent cross-checking engines."""
 from .exact import (
     LinFrac,
     Poly,
-    Rational,
     Weight,
     linfrac_sum_to_poly,
     pair,
-    poly_div_exact,
     rho_project,
 )
 from .gkm import (
@@ -52,12 +50,6 @@ from .orbits import (
     SignedPerm,
     build_orbit_gkm,
     canonical_graph_orbit,
-    classify_paths_B,
-    classify_paths_D,
-    formula_An,
-    formula_Bn,
-    formula_Cn,
-    formula_Dn,
     lift_path,
     pairing_check,
     reduced_words,

@@ -6,14 +6,19 @@ point of index at most index(p).  This module computes the full table of
 values alpha_p(q) by several independent routes:
 
   * a dynamic program over the canonical graph driven by the moment values
-    (restriction_single_form);
-  * explicit path sums, either with one chosen degree-two class per vertex
-    (restriction_vertex_classes) or with an ordered list of classes and the
-    first-separating-level filter (restriction_ordered);
+    (single_form_column);
+  * explicit path sums, either with one degree-two class per vertex, given
+    as a mapping from vertex to class (restriction_vertex_classes), or with
+    a list of classes and the first-separating-level filter
+    (filtered_path_sum, which restriction_ordered, ordered_table and the
+    tower engine of the fibration module share).  Both are one step
+    function over the depth-first walk gkm.walk_paths;
   * a solver that knows nothing about path formulas and only imposes the
     defining vanishing conditions together with the edge-divisibility
-    congruences of localization (brute_solve_canonical).
+    congruences of localization (brute_row).
 
+A certificate checks any table against the defining conditions, and
+structure constants are solved from a table by evaluation at fixed points.
 Every value is an exact polynomial; engines must agree entry by entry.
 """
 
@@ -34,36 +39,11 @@ from .errors import (
 from .exact import LinFrac, Poly, Weight, linfrac_sum_to_poly, pair
 # magnitude is no longer called here; it stays importable from this module
 # because perfbench/selftest.py checks that the tracer wraps this binding
-from .gkm import OrientedGraphData, magnitude  # noqa: F401
+from .gkm import OrientedGraphData, magnitude, walk_paths  # noqa: F401
 
 # A degree-two class is recorded by its restrictions, a Mapping[str, Weight]
 # from vertex id to weight.  No module-level alias: typing's cache would keep
 # the subscription, and with it this module, alive across re-imports.
-
-
-@dataclass
-class WeightClassAssignment:
-    """Degree-two classes supplied to the path-sum engines: either one class
-    per vertex, or an ordered list shared by all vertices."""
-
-    per_vertex: Mapping[str, Mapping[str, Weight]] | None = None
-    ordered: Sequence[Mapping[str, Weight]] | None = None
-
-
-def _as_ordered_classes(classes) -> Sequence[Mapping[str, Weight]]:
-    if isinstance(classes, WeightClassAssignment):
-        if classes.ordered is None:
-            raise GraphFormatError("assignment carries no ordered class list")
-        return classes.ordered
-    return classes
-
-
-def _as_vertex_classes(classes) -> Mapping[str, Mapping[str, Weight]]:
-    if isinstance(classes, WeightClassAssignment):
-        if classes.per_vertex is None:
-            raise GraphFormatError("assignment carries no per-vertex classes")
-        return classes.per_vertex
-    return classes
 
 
 @dataclass
@@ -183,47 +163,57 @@ def _edge_factor(od: OrientedGraphData, a: str, b: str) -> LinFrac:
     return LinFrac.from_scalar(od.rank, od.theta(a, b)).div_weight(eta)
 
 
+def _path_terms(od: OrientedGraphData, q: str, walk, what: str) -> list[PathTerm]:
+    """The ledger of a path walk: one term per walked path that ends at q,
+    the downward product at q times the path's product.  walk yields (path,
+    (product, levels)); a None product marks a path through a vertex that
+    `what` fails to separate from q, which only matters if the path
+    actually reaches q."""
+    lam_q = od.lambda_minus_linfrac(q)
+    ledger: list[PathTerm] = []
+    for path, (acc, levels) in walk:
+        if path[-1] != q:
+            continue
+        if acc is None:
+            raise WellDefinednessViolation(
+                f"{what} along {path} does not separate its vertex from {q}")
+        ledger.append(PathTerm(path, lam_q * acc, levels))
+    return ledger
+
+
 def restriction_vertex_classes(
     od: OrientedGraphData, p: str, q: str,
-    class_of: "Mapping[str, Mapping[str, Weight]] | WeightClassAssignment",
+    class_of: Mapping[str, Mapping[str, Weight]],
 ) -> tuple[Poly, list[PathTerm]]:
     """Path sum over all canonical-graph paths p -> q, each edge (a, b)
     contributing (w_a(b) - w_a(a)) / (w_a(q) - w_a(a)) times the edge label,
     where w_a is the class attached to a.  Paths with a vanishing numerator
     contribute zero and are recorded as such."""
-    class_of = _as_vertex_classes(class_of)
     _require_index_increasing(od)
     n = od.rank
-    ledger: list[PathTerm] = []
-    lam_q = od.lambda_minus_linfrac(q)
-    # None marks a path through a vertex whose class fails to separate it
-    # from q; that only matters if the path actually reaches q
-    stack: list[tuple[tuple[str, ...], LinFrac | None]] = [((p,), LinFrac.one(n))]
-    while stack:
-        path, acc = stack.pop()
-        v = path[-1]
-        if v == q:
-            if acc is None:
-                raise WellDefinednessViolation(
-                    f"a class along {path} does not separate its vertex from {q}")
-            ledger.append(PathTerm(path, lam_q * acc))
-            continue
-        if od.phi[v] >= od.phi[q]:
-            continue
+
+    def step(path, state):
+        v, acc = path[-1], state[0]
+        if v == q or od.phi[v] >= od.phi[q]:
+            return ()
         w = class_of[v]
         den = w[q] - w[v]
+        out = []
         for u in od.up[v]:
             if acc is None or den.is_zero():
-                stack.append((path + (u,), None))
+                out.append((u, (None, None)))
                 continue
             num = w[u] - w[v]
             if num.is_zero():
                 # the whole completion contributes zero; keep walking so the
                 # ledger still lists every path
-                factor = LinFrac(n, 0)
+                out.append((u, (LinFrac(n, 0), None)))
             else:
                 factor = _edge_factor(od, v, u).mul_weight(num).div_weight(den)
-            stack.append((path + (u,), acc * factor))
+                out.append((u, (acc * factor, None)))
+        return out
+
+    ledger = _path_terms(od, q, walk_paths(p, (LinFrac.one(n), None), step), "a class")
     live = [t.value for t in ledger if not t.value.is_zero()]
     return linfrac_sum_to_poly(live, n), ledger
 
@@ -267,24 +257,17 @@ def filtered_path_sum(
     scalars are not asked on skipped prefixes."""
     _require_index_increasing(od)
     n = od.rank
-    ledger: list[PathTerm] = []
     reach = od.reachable
     if q not in reach[p]:
-        return linfrac_sum_to_poly([], n), ledger
-    lam_q = od.lambda_minus_linfrac(q)
-    stack: list[tuple[tuple[str, ...], tuple[int, ...], LinFrac | None]] = [
-        ((p,), (), LinFrac.one(n))
-    ]
-    while stack:
-        path, levels, acc = stack.pop()
+        return linfrac_sum_to_poly([], n), []
+
+    def step(path, state):
         v = path[-1]
         if v == q:
-            if acc is None:
-                raise WellDefinednessViolation(
-                    f"a level along {path} does not separate its vertex from {q}")
-            ledger.append(PathTerm(path, lam_q * acc, levels))
-            continue
+            return ()
+        acc, levels = state
         last = levels[-1] if levels else 0
+        out = []
         for u in od.up[v]:
             if q not in reach[u]:
                 continue
@@ -295,10 +278,13 @@ def filtered_path_sum(
             num = w_level(j, u) - wv
             den = w_level(j, q) - wv
             if acc is None or den.is_zero():
-                stack.append((path + (u,), levels + (j,), None))
+                out.append((u, (None, levels + (j,))))
                 continue
             factor = _edge_factor(od, v, u).mul_weight(num).div_weight(den)
-            stack.append((path + (u,), levels + (j,), acc * factor))
+            out.append((u, (acc * factor, levels + (j,))))
+        return out
+
+    ledger = _path_terms(od, q, walk_paths(p, (LinFrac.one(n), ()), step), "a level")
     return linfrac_sum_to_poly([t.value for t in ledger], n), ledger
 
 
@@ -315,18 +301,17 @@ def filtered_path_table(od: OrientedGraphData, h_edge: Mapping[tuple[str, str], 
 
 def ordered_filter(
     od: OrientedGraphData,
-    classes: "Sequence[Mapping[str, Weight]] | WeightClassAssignment",
+    classes: Sequence[Mapping[str, Weight]],
 ) -> tuple[dict[tuple[str, str], int], Callable[[int, str], Weight]]:
     """The h-function and level values of an ordered class list, as
     filtered_path_sum takes them; raises NoSeparatingClass when some
     canonical edge is separated by no class."""
-    classes = _as_ordered_classes(classes)
     return build_h_function(od, classes), lambda j, v: classes[j - 1][v]
 
 
 def restriction_ordered(
     od: OrientedGraphData, p: str, q: str,
-    classes: "Sequence[Mapping[str, Weight]] | WeightClassAssignment",
+    classes: Sequence[Mapping[str, Weight]],
 ) -> tuple[Poly, list[PathTerm]]:
     """Filtered path sum for an ordered list of classes; callers are
     expected to have certified the vanishing hypothesis (verify_tech)."""
@@ -335,7 +320,7 @@ def restriction_ordered(
 
 def ordered_table(
     od: OrientedGraphData,
-    classes: "Sequence[Mapping[str, Weight]] | WeightClassAssignment",
+    classes: Sequence[Mapping[str, Weight]],
 ) -> Iterator[tuple[tuple[str, str], Poly, list[PathTerm]]]:
     """restriction_ordered for every pair, as ((p, q), value, ledger) in
     row-major order.  The filter is built once, and its errors are raised
@@ -345,13 +330,12 @@ def ordered_table(
 
 def verify_tech(
     od: OrientedGraphData,
-    classes: "Sequence[Mapping[str, Weight]] | WeightClassAssignment",
+    classes: Sequence[Mapping[str, Weight]],
     table: RestrictionTable,
 ) -> bool:
     """Check the vanishing hypothesis for an ordered class list: whenever
     w_j separates p from q but does not increase in the xi direction,
     alpha_p(q) must vanish."""
-    classes = _as_ordered_classes(classes)
     ids = od.graph.ids
     for w in classes:
         height = {v: pair(w[v], od.xi) for v in ids}

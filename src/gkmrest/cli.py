@@ -16,7 +16,7 @@ import json
 import sys
 
 from .canonical import RestrictionTable
-from .errors import GkmError
+from .errors import GkmError, GraphFormatError
 from .exact import Weight, format_scalar
 from .gkm import (
     GkmGraph,
@@ -40,12 +40,22 @@ def _add_source_args(sub, orbit_only=False):
                      help="seed for the generic direction search on graph input")
 
 
+def _read_graph(path: str) -> GkmGraph:
+    """The graph in a JSON file.  A file that is not UTF-8 text raises
+    GraphFormatError; one that cannot be opened or read raises OSError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    return GkmGraph.from_json(text)
+
+
 def _load_target(args):
     """Return (target, oriented_data); the target is the Orbit, or on graph
     input the oriented graph itself."""
     if getattr(args, "graph", None):
-        with open(args.graph, "r", encoding="utf-8") as fh:
-            g = GkmGraph.from_json(fh.read())
+        g = _read_graph(args.graph)
         rep = validate_gkm(g)
         if not rep.ok:
             raise GkmError(f"invalid graph:\n{rep}")
@@ -77,8 +87,7 @@ def _resolve_vertex(target, od, text: str) -> str:
 
 
 def cmd_validate(args) -> int:
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        g = GkmGraph.from_json(fh.read())
+    g = _read_graph(args.graph)
     rep = validate_gkm(g)
     print(rep)
     if not rep.ok:
@@ -249,10 +258,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(_merge_value_flags(argv))
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GkmError as exc:
+    except (GkmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

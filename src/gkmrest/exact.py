@@ -24,10 +24,6 @@ from typing import Iterable, Sequence
 
 from .errors import GenericityError, NotDivisible
 
-# The scalar coefficient ring used everywhere.  Always in lowest terms with
-# positive denominator, which is exactly what fractions.Fraction enforces.
-Rational = Fraction
-
 
 def _as_exact(x) -> int | Fraction:
     """Coerce an int, Fraction, or 'a/b' string to an exact scalar."""
@@ -121,12 +117,6 @@ class Weight:
 
     def to_json(self):
         return [format_scalar(c) for c in self.coords]
-
-
-# XiVector is structurally a Weight: a direction in the dual space used to
-# orient the graph.  Certification against a concrete edge set happens in
-# the graph layer.
-XiVector = Weight
 
 
 def _primitive(coords: Sequence) -> tuple[tuple[int, ...], Fraction]:
@@ -612,11 +602,6 @@ def parse_poly(text: str, n: int) -> Poly:
                 coeff = coeff * _as_exact(factor)
         out = out + Poly(n, {tuple(e): coeff})
     return out
-
-
-def poly_div_exact(p: Poly, d: Poly) -> Poly:
-    """Exact polynomial division; raises NotDivisible if d does not divide p."""
-    return p.div_exact(d)
 
 
 # ---------------------------------------------------------------------------

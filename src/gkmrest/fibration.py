@@ -23,12 +23,11 @@ from .errors import (
 from .exact import LinFrac, Poly, Weight, linfrac_sum_to_poly
 from .canonical import (
     PathTerm,
-    _edge_factor,
     _require_index_increasing,
     filtered_path_sum,
     filtered_path_table,
 )
-from .gkm import OrientedGraphData, magnitude
+from .gkm import OrientedGraphData, magnitude, walk_paths
 
 
 @dataclass
@@ -207,20 +206,19 @@ def horizontal_paths(od: OrientedGraphData, fib: FibrationSpec, p: str,
                      targets: set[str]) -> dict[str, list[tuple[str, ...]]]:
     """All canonical-graph paths from p to each target all of whose steps
     change the base point, keyed by endpoint."""
-    out: dict[str, list[tuple[str, ...]]] = {s: [] for s in targets}
+    vm = fib.vertex_map
     cap = max((od.phi[s] for s in targets), default=od.phi[p])
-    stack: list[tuple[str, ...]] = [(p,)]
-    while stack:
-        cur = stack.pop()
-        v = cur[-1]
-        if v in targets:
-            out[v].append(cur)
+
+    def step(path, _):
+        v = path[-1]
         if od.phi[v] >= cap:
-            continue
-        bv = fib.vertex_map[v]
-        for u in od.up[v]:
-            if fib.vertex_map[u] != bv:
-                stack.append(cur + (u,))
+            return ()
+        return [(u, None) for u in od.up[v] if vm[u] != vm[v]]
+
+    out: dict[str, list[tuple[str, ...]]] = {s: [] for s in targets}
+    for path, _ in walk_paths(p, None, step):
+        if path[-1] in out:
+            out[path[-1]].append(path)
     for s in out:
         out[s].sort()
     return out
@@ -230,7 +228,8 @@ def defining_base_term(od: OrientedGraphData, fib: FibrationSpec,
                        path: Sequence[str], s: str) -> LinFrac:
     """Base-path contribution in its defining form: the downward product at
     the base image of s, times for each step the ratio of base moment
-    differences, times the edge label."""
+    differences, times the edge label theta/weight (the thetas are
+    multiplied in once, at the end)."""
     if not is_horizontal(fib, path):
         raise NotHorizontal(f"path {tuple(path)} has a vertical step")
     base = fib.base
@@ -239,6 +238,7 @@ def defining_base_term(od: OrientedGraphData, fib: FibrationSpec,
     for w in base.neg[bs]:
         value = value.mul_weight(w)
     ms = base.graph.moment[bs]
+    theta = 1
     for a, b in zip(path, path[1:]):
         ba, bb = fib.vertex_map[a], fib.vertex_map[b]
         num = base.graph.moment[bb] - base.graph.moment[ba]
@@ -246,9 +246,10 @@ def defining_base_term(od: OrientedGraphData, fib: FibrationSpec,
         if den.is_zero():
             raise GraphFormatError(
                 f"base moments of {ba} and {bs} coincide on a horizontal path")
-        value = (value.mul_weight(num).div_weight(den)
-                 * _edge_factor(od, a, b))
-    return value
+        value = value.mul_weight(num).div_weight(den).div_weight(
+            od.graph.edge_weight(a, b))
+        theta *= od.theta(a, b)
+    return value.mul_scalar(theta)
 
 
 def explicit_P(od: OrientedGraphData, fib: FibrationSpec,

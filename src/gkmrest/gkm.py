@@ -381,6 +381,21 @@ def is_index_increasing(od: OrientedGraphData) -> bool:
     return True
 
 
+def walk_paths(start, state, step):
+    """Depth-first walk over the paths from start, yielding (path, state)
+    for each path reached, a path before its extensions.  step(path, state)
+    lists the extensions of a path as (vertex, next_state); the last one
+    listed is walked first.  The canonical-graph, ascending and horizontal
+    path listings, the path sums and the slot-monotone cover chains are
+    each one step function over this walk."""
+    stack = [((start,), state)]
+    while stack:
+        path, state = stack.pop()
+        yield path, state
+        for u, nxt in step(path, state):
+            stack.append((path + (u,), nxt))
+
+
 @dataclass
 class CanonicalGraph:
     """Directed graph on the fixed points whose edges raise the index by
@@ -396,19 +411,15 @@ class CanonicalGraph:
     def paths(self, p: str, q: str) -> list[tuple[str, ...]]:
         """All directed paths from p to q, in deterministic order.  The
         length-zero path appears exactly when p == q."""
-        out: list[tuple[str, ...]] = []
-        stack = [(p,)]
-        while stack:
-            cur = stack.pop()
-            v = cur[-1]
-            if v == q:
-                out.append(cur)
-                continue
-            if self.phi[v] >= self.phi[q]:
-                continue
-            for u in reversed(self.up[v]):
-                stack.append(cur + (u,))
-        return out
+        phi, up, top = self.phi, self.up, self.phi[q]
+
+        def step(path, _):
+            v = path[-1]
+            if v == q or phi[v] >= top:
+                return ()
+            return [(u, None) for u in reversed(up[v])]
+
+        return [path for path, _ in walk_paths(p, None, step) if path[-1] == q]
 
 
 def build_canonical_graph(od: OrientedGraphData) -> CanonicalGraph:
@@ -432,31 +443,20 @@ def build_canonical_graph(od: OrientedGraphData) -> CanonicalGraph:
     )
 
 
-def enumerate_paths(od: OrientedGraphData, p: str, q: str,
-                    ascending_only: bool = True) -> list[tuple[str, ...]]:
-    """All paths from p to q in the underlying graph, in deterministic
-    (depth-first, id-sorted) order.  Ascending paths strictly increase phi
-    at every step; otherwise simple paths (no repeated vertex) are listed,
-    which keeps the enumeration finite on mirrored graphs."""
-    g = od.graph
-    out: list[tuple[str, ...]] = []
-    stack: list[tuple[str, ...]] = [(p,)]
-    while stack:
-        cur = stack.pop()
-        v = cur[-1]
+def enumerate_paths(od: OrientedGraphData, p: str, q: str) -> list[tuple[str, ...]]:
+    """All ascending paths from p to q in the underlying graph (phi strictly
+    increases at every step), in deterministic (depth-first, id-sorted)
+    order."""
+    adj, phi, top = od.graph.adj, od.phi, od.phi[q]
+
+    def step(path, _):
+        v = path[-1]
         if v == q:
-            out.append(cur)
-            continue
-        for u in reversed(g.adj[v]):
-            if ascending_only:
-                if od.phi[u] <= od.phi[v]:
-                    continue
-                if od.phi[u] >= od.phi[q] and u != q:
-                    continue
-            elif u in cur:
-                continue
-            stack.append(cur + (u,))
-    return out
+            return ()
+        return [(u, None) for u in reversed(adj[v])
+                if phi[v] < phi[u] and (phi[u] < top or u == q)]
+
+    return [path for path, _ in walk_paths(p, None, step) if path[-1] == q]
 
 
 def export_dot(od: OrientedGraphData, canonical: bool = False) -> str:

@@ -277,6 +277,8 @@ def available_engines(target) -> list[str]:
     cost; the exponential ones are included only at small scale."""
     if isinstance(target, Orbit):
         engines = ["gz", "typed", "brute"]
+        if target.spec.ctype == "D" and target.spec.rank < 3:
+            engines.remove("typed")  # refused there by the typed engine
         if len(target.elements) <= 48:
             engines += ["ordered", "tower"]
         if len(target.rs.positive_roots) <= 8:

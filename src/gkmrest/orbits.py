@@ -22,8 +22,14 @@ from typing import Iterable, Sequence
 from .canonical import PathTerm
 from .errors import GraphFormatError, ThetaNotOne
 from .exact import LinFrac, Poly, Weight, format_scalar, linfrac_sum_to_poly, pair
-from .fibration import FibrationSpec, TowerLevel, TowerSpec
-from .gkm import CanonicalGraph, GkmGraph, OrientedGraphData
+from .fibration import FibrationSpec, TowerLevel, TowerSpec, defining_base_term
+from .gkm import (
+    CanonicalGraph,
+    GkmGraph,
+    OrientedGraphData,
+    enumerate_paths,
+    walk_paths,
+)
 
 CARTAN_TYPES = ("A", "B", "C", "D")
 
@@ -638,28 +644,22 @@ def _unit(entry: int, m: int) -> Weight:
 
 
 def _monotone_cover_paths(orbit: Orbit, wp: SignedPerm, wq: SignedPerm):
-    """DFS over cover chains wp -> wq with nondecreasing slots, yielding
-    (elements, slots) pairs.  Slots below the current minimum are frozen
+    """Cover chains wp -> wq with nondecreasing slots, as (elements, slots)
+    pairs in depth-first order.  Slots below the current minimum are frozen
     for the rest of the chain, so chains whose prefix already disagrees
     with the target there are pruned."""
     lq = orbit.length[wq.word]
-    stack = [((wp,), ())]
-    while stack:
-        path, slots = stack.pop()
+
+    def step(path, slots):
         w = path[-1]
-        lw = orbit.length[w.word]
-        if w.word == wq.word:
-            yield path, slots
-            continue
-        if lw >= lq:
-            continue
+        if w.word == wq.word or orbit.length[w.word] >= lq:
+            return ()
         last = slots[-1] if slots else 0
-        for u, _, slot in orbit.covers_up(w):
-            if slot < last:
-                continue
-            if w.word[:slot - 1] != wq.word[:slot - 1]:
-                continue
-            stack.append((path + (u,), slots + (slot,)))
+        return [(u, slots + (slot,)) for u, _, slot in orbit.covers_up(w)
+                if slot >= last and w.word[:slot - 1] == wq.word[:slot - 1]]
+
+    return ((path, slots) for path, slots in walk_paths(wp, (), step)
+            if path[-1].word == wq.word)
 
 
 def formula_AC(orbit: Orbit, p, q) -> tuple[Poly, list[PathTerm]]:
@@ -688,18 +688,6 @@ def formula_AC(orbit: Orbit, p, q) -> tuple[Poly, list[PathTerm]]:
                                value, slots))
     total = linfrac_sum_to_poly([t.value for t in ledger], m)
     return total, ledger
-
-
-def formula_An(orbit: Orbit, p, q) -> tuple[Poly, list[PathTerm]]:
-    if orbit.spec.ctype != "A":
-        raise GraphFormatError("type A formula on a non-A orbit")
-    return formula_AC(orbit, p, q)
-
-
-def formula_Cn(orbit: Orbit, p, q) -> tuple[Poly, list[PathTerm]]:
-    if orbit.spec.ctype != "C":
-        raise GraphFormatError("type C formula on a non-C orbit")
-    return formula_AC(orbit, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -789,20 +777,6 @@ def classify_base_path(orbit: Orbit, base_path: Sequence[str]) -> PathClassifica
     return PathClassification(tuple(base_path), False, k, relevant)
 
 
-def classify_paths_B(orbit: Orbit, base_paths: Iterable[Sequence[str]]
-                     ) -> list[PathClassification]:
-    if orbit.spec.ctype != "B":
-        raise GraphFormatError("type B classification on a non-B orbit")
-    return [classify_base_path(orbit, bp) for bp in base_paths]
-
-
-def classify_paths_D(orbit: Orbit, base_paths: Iterable[Sequence[str]]
-                     ) -> list[PathClassification]:
-    if orbit.spec.ctype != "D":
-        raise GraphFormatError("type D classification on a non-D orbit")
-    return [classify_base_path(orbit, bp) for bp in base_paths]
-
-
 def _horizontal_bucket(orbit: Orbit, p_vid: str, b_vid: str
                        ) -> dict[str, list[tuple[tuple[str, ...], tuple[str, ...]]]]:
     """Horizontal canonical paths from p into the fiber over the base
@@ -812,12 +786,11 @@ def _horizontal_bucket(orbit: Orbit, p_vid: str, b_vid: str
     got = orbit._bucket_cache.get((p_vid, b_vid))
     if got is not None:
         return got
-    from .gkm import enumerate_paths
     base = orbit.base_od()
     fib = orbit.base_fibration()
     start_b = fib.vertex_map[p_vid]
     out: dict[str, list] = {}
-    for base_path in enumerate_paths(base, start_b, b_vid, ascending_only=True):
+    for base_path in enumerate_paths(base, start_b, b_vid):
         lifted = lift_path(orbit, p_vid, base_path)
         ok = all(orbit.od.lam[b] == orbit.od.lam[a] + 1
                  for a, b in zip(lifted, lifted[1:]))
@@ -838,29 +811,10 @@ def relevant_path_terms(orbit: Orbit, p_vid: str, b_vid: str
             cls = classify_base_path(orbit, base_path)
             if not cls.relevant:
                 continue
-            term = paired_term(orbit, cls,
-                               _base_term(orbit, base_path, lifted, s_vid))
+            term = paired_term(orbit, cls, defining_base_term(
+                orbit.od, orbit.base_fibration(), lifted, s_vid))
             out.append((s_vid, cls, term))
     return out
-
-
-def _base_term(orbit: Orbit, base_path: Sequence[str], lifted: Sequence[str],
-               s_vid: str) -> LinFrac:
-    """Defining form of the base contribution of one horizontal path."""
-    base = orbit.base_od()
-    fib = orbit.base_fibration()
-    bs = fib.vertex_map[s_vid]
-    value = LinFrac.one(orbit.rs.ambient)
-    for w in base.neg[bs]:
-        value = value.mul_weight(w)
-    ms = base.graph.moment[bs]
-    for (a, b), (ba, bb) in zip(zip(lifted, lifted[1:]),
-                                zip(base_path, base_path[1:])):
-        num = base.graph.moment[bb] - base.graph.moment[ba]
-        den = ms - base.graph.moment[ba]
-        eta = orbit.od.graph.edge_weight(a, b)
-        value = value.mul_weight(num).div_weight(den).div_weight(eta)
-    return value
 
 
 def paired_term(orbit: Orbit, cls: PathClassification, base_term: LinFrac) -> LinFrac:
@@ -944,20 +898,6 @@ def typed_column(orbit: Orbit, q) -> dict[str, Poly]:
 def typed_restriction(orbit: Orbit, p, q) -> Poly:
     """alpha_p(q) by the engine matching the orbit's type."""
     return typed_column(orbit, q)[orbit.vertex(p)]
-
-
-def formula_Bn(orbit: Orbit, p, q) -> Poly:
-    if orbit.spec.ctype != "B":
-        raise GraphFormatError("type B formula on a non-B orbit")
-    return typed_restriction(orbit, p, q)
-
-
-def formula_Dn(orbit: Orbit, p, q) -> Poly:
-    if orbit.spec.ctype != "D":
-        raise GraphFormatError("type D formula on a non-D orbit")
-    if orbit.spec.rank < 3:
-        raise GraphFormatError("type D needs rank at least 3")
-    return typed_restriction(orbit, p, q)
 
 
 def _rank1_b_column(orbit: Orbit, q_vid: str) -> dict[str, Poly]:
@@ -1083,11 +1023,11 @@ def pairing_check(orbit: Orbit, s) -> dict:
                 report["failures"].append(
                     f"mate of {bp} from {p_vid} is also relevant")
                 continue
+            term = defining_base_term(orbit.od, fib, lp, s_vid)
             lhs = linfrac_sum_to_poly(
-                [_base_term(orbit, bp, lp, s_vid),
-                 _base_term(orbit, mate[0], mate[1], s_vid)], orbit.rs.ambient)
-            rhs = paired_term(orbit, cls,
-                              _base_term(orbit, bp, lp, s_vid)).to_poly()
+                [term, defining_base_term(orbit.od, fib, mate[1], s_vid)],
+                orbit.rs.ambient)
+            rhs = paired_term(orbit, cls, term).to_poly()
             if lhs != rhs:
                 report["failures"].append(
                     f"pair sum mismatch for {bp} from {p_vid}")

@@ -29,9 +29,9 @@ from gkmrest.orbits import (
     canonical_graph_orbit,
     factor_distinct_positive_roots,
     formula_AC,
-    formula_Bn,
     pairing_check,
     relevant_path_terms,
+    typed_restriction,
     typed_table,
 )
 
@@ -69,7 +69,7 @@ def test_criterion_1_worked_example_all_engines():
     expected = parse_poly("x1 + x2", 2)
     got = {
         "gz": restriction_single_form(orbit.od, p, q),
-        "typed": formula_Bn(orbit, p, q),
+        "typed": typed_restriction(orbit, p, q),
         "brute": brute_solve_canonical(orbit.od).get(p, q),
         "ordered": restriction_ordered(
             orbit.od, p, q, [lvl.moment for lvl in orbit.tower().levels])[0],

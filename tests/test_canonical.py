@@ -150,27 +150,20 @@ class TestVertexClassSum:
 
 
 class TestWeightClassAssignment:
+    """The two forms of class input: an ordered list, or one class per
+    vertex."""
+
     def test_both_modes(self, cp2_oriented):
-        from gkmrest.canonical import WeightClassAssignment
         od = cp2_oriented
         w = dict(od.graph.moment)
-        ordered = WeightClassAssignment(ordered=[w])
-        per_vertex = WeightClassAssignment(per_vertex={v: w for v in od.graph.ids})
+        ordered = [w]
+        per_vertex = {v: w for v in od.graph.ids}
         for p in od.graph.ids:
             for q in od.graph.ids:
                 expect = restriction_single_form(od, p, q)
                 assert restriction_ordered(od, p, q, ordered)[0] == expect
                 assert restriction_vertex_classes(od, p, q, per_vertex)[0] == expect
         assert verify_tech(od, ordered, table_single_form(od))
-
-    def test_wrong_mode_rejected(self, cp2_oriented):
-        from gkmrest.canonical import WeightClassAssignment
-        od = cp2_oriented
-        empty = WeightClassAssignment()
-        with pytest.raises(GraphFormatError):
-            restriction_ordered(od, "p1", "p2", empty)
-        with pytest.raises(GraphFormatError):
-            restriction_vertex_classes(od, "p1", "p2", empty)
 
 
 class TestOrdered:
@@ -335,7 +328,7 @@ class TestVanishing:
             tab = table_single_form(od)
             for p in od.graph.ids:
                 for q in od.graph.ids:
-                    if p != q and not enumerate_paths(od, p, q, ascending_only=True):
+                    if p != q and not enumerate_paths(od, p, q):
                         assert tab.get(p, q).is_zero()
 
 

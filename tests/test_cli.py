@@ -95,6 +95,41 @@ class TestValidate:
         assert code == 2
 
 
+class TestBadFilePaths:
+    """A path that cannot be read or written exits 2 with one error line."""
+
+    @pytest.fixture
+    def not_utf8(self, tmp_path):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff\xfe")
+        return str(path)
+
+    @staticmethod
+    def assert_error(capsys, argv, text):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and text in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["validate", "restrict", "export"])
+    def test_graph_is_a_directory(self, capsys, tmp_path, command):
+        extra = {"restrict": ["--p", "a", "--q", "b"], "export": ["--dot"]}
+        self.assert_error(capsys, [command, "--graph", str(tmp_path),
+                                   *extra.get(command, [])], "Is a directory")
+
+    @pytest.mark.parametrize("command", ["validate", "restrict", "compare"])
+    def test_graph_not_utf8(self, capsys, not_utf8, command):
+        extra = {"restrict": ["--p", "a", "--q", "b"]}
+        self.assert_error(capsys, [command, "--graph", not_utf8,
+                                   *extra.get(command, [])], "not UTF-8")
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_table_output_is_a_directory(self, capsys, tmp_path, flag):
+        self.assert_error(capsys, ["table", "--type", "A", "--rank", "2",
+                                   flag, str(tmp_path)], "Is a directory")
+
+
 class TestRestrict:
     def test_b2_worked_example(self, capsys):
         code, out = run(capsys, "restrict", "--type", "B", "--rank", "2",
@@ -301,6 +336,15 @@ class TestCompare:
         assert code == 0
         data = json.loads(out)
         assert data["pairs_checked"] == 64 and not data["mismatches"]
+
+    def test_d2_leaves_out_typed(self, capsys):
+        # the typed engine needs rank three for type D
+        code, out = run(capsys, "compare", "--type", "D", "--rank", "2",
+                        "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["engines"] == ["gz", "brute", "ordered", "tower", "billey"]
+        assert data["pairs_checked"] == 16 and not data["mismatches"]
 
 
 class TestExportedOrbitPipeline:

@@ -15,7 +15,6 @@ from gkmrest.exact import (
     linfrac_sum_to_poly,
     pair,
     parse_poly,
-    poly_div_exact,
     rho_project,
 )
 
@@ -131,17 +130,17 @@ class TestDivision:
     def test_exact_linear_factor(self):
         n = 3
         p = lin(n, 1, -1, 0) * lin(n, 1, 0, -1)
-        assert poly_div_exact(p, lin(n, 1, -1, 0)) == lin(n, 1, 0, -1)
+        assert p.div_exact(lin(n, 1, -1, 0)) == lin(n, 1, 0, -1)
 
     def test_difference_of_squares(self):
         n = 2
         p = parse_poly("x1^2 - x2^2", n)
-        assert poly_div_exact(p, parse_poly("x1 + x2", n)) == parse_poly("x1 - x2", n)
+        assert p.div_exact(parse_poly("x1 + x2", n)) == parse_poly("x1 - x2", n)
 
     def test_not_divisible(self):
         n = 2
         with pytest.raises(NotDivisible):
-            poly_div_exact(parse_poly("x1*x2", n), parse_poly("x1 + x2", n))
+            parse_poly("x1*x2", n).div_exact(parse_poly("x1 + x2", n))
 
     def test_div_weight_matches_general(self):
         n = 3
@@ -162,7 +161,7 @@ class TestDivision:
             a, b = rand_poly(), rand_poly()
             if a.is_zero() or b.is_zero():
                 continue
-            assert poly_div_exact(a * b, b) == a
+            assert (a * b).div_exact(b) == a
 
     def test_restrict_zero_detects_divisibility(self):
         n = 3

@@ -180,15 +180,11 @@ class TestPaths:
         assert cg.paths("p2", "p2") == [("p2",)]
 
     def test_descending_pair_empty(self, cp2_oriented):
-        assert enumerate_paths(cp2_oriented, "p3", "p1", ascending_only=True) == []
+        assert enumerate_paths(cp2_oriented, "p3", "p1") == []
 
     def test_ascending_paths_on_graph(self, cp2_oriented):
-        paths = enumerate_paths(cp2_oriented, "p1", "p3", ascending_only=True)
+        paths = enumerate_paths(cp2_oriented, "p1", "p3")
         assert sorted(paths) == [("p1", "p2", "p3"), ("p1", "p3")]
-
-    def test_simple_paths_non_ascending(self, cp2_oriented):
-        paths = enumerate_paths(cp2_oriented, "p3", "p1", ascending_only=False)
-        assert sorted(paths) == [("p3", "p1"), ("p3", "p2", "p1")]
 
 
 class TestSerialization:

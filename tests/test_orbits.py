@@ -20,12 +20,8 @@ from gkmrest.orbits import (
     build_orbit_gkm,
     canonical_graph_orbit,
     classify_base_path,
-    classify_paths_B,
     factor_distinct_positive_roots,
-    formula_An,
-    formula_Bn,
-    formula_Cn,
-    formula_Dn,
+    formula_AC,
     lift_path,
     pairing_check,
     reduced_words,
@@ -223,7 +219,7 @@ class TestCanonicalGraphOrbit:
 class TestTypedAC:
     def test_diagonal(self, a2):
         for w in a2.elements:
-            val, ledger = formula_An(a2, w, w)
+            val, ledger = formula_AC(a2, w, w)
             assert len(ledger) == 1 and ledger[0].path[0] == ledger[0].path[-1]
             assert val == a2.od.lambda_minus(a2.vid_of[w.word])
 
@@ -232,7 +228,7 @@ class TestTypedAC:
         br = brute_solve_canonical(a2.od)
         for wp in a2.elements:
             for wq in a2.elements:
-                val, _ = formula_An(a2, wp, wq)
+                val, _ = formula_AC(a2, wp, wq)
                 p, q = a2.vertex(wp), a2.vertex(wq)
                 assert val == gz.get(p, q) == br.get(p, q)
 
@@ -240,19 +236,19 @@ class TestTypedAC:
         br = brute_solve_canonical(c2.od)
         for wp in c2.elements:
             for wq in c2.elements:
-                val, ledger = formula_Cn(c2, wp, wq)
+                val, ledger = formula_AC(c2, wp, wq)
                 assert val == br.get(c2.vertex(wp), c2.vertex(wq))
                 for t in ledger:
                     assert factor_distinct_positive_roots(c2.rs, t.value) == 1
 
     def test_wrong_type_rejected(self, b2):
         with pytest.raises(GraphFormatError):
-            formula_An(b2, "-2,-1", "-2,1")
+            formula_AC(b2, "-2,-1", "-2,1")
 
     def test_bruhat_vanishing(self, c2):
         for wp in c2.elements:
             for wq in c2.elements:
-                val, _ = formula_Cn(c2, wp, wq)
+                val, _ = formula_AC(c2, wp, wq)
                 assert (not val.is_zero()) == c2.bruhat_leq(wp, wq)
 
 
@@ -313,7 +309,7 @@ class TestLiftAndClassify:
             ids = base.graph.ids
             for a in ids:
                 for bb in ids:
-                    for bp in enumerate_paths(base, a, bb, ascending_only=True):
+                    for bp in enumerate_paths(base, a, bb):
                         for w in orbit.elements:
                             start = orbit.vid_of[w.word]
                             if orbit.base_fibration().vertex_map[start] != bp[0]:
@@ -334,15 +330,13 @@ class TestLiftAndClassify:
         assert c3.complete and c3.relevant
 
     def test_classify_paths_wrapper(self, b2):
-        out = classify_paths_B(b2, [("-1,0", "0,1", "1,0")])
-        assert isinstance(out[0], PathClassification)
-        with pytest.raises(GraphFormatError):
-            classify_paths_B(Orbit(OrbitSpec("C", 2)), [])
+        out = classify_base_path(b2, ("-1,0", "0,1", "1,0"))
+        assert isinstance(out, PathClassification)
 
 
 class TestTypedBD:
     def test_b2_worked_example_value(self, b2):
-        assert formula_Bn(b2, "-2,1", "2,1") == parse_poly("x1 + x2", 2)
+        assert typed_restriction(b2, "-2,1", "2,1") == parse_poly("x1 + x2", 2)
 
     def test_b2_full_table(self, b2):
         br = brute_solve_canonical(b2.od)
@@ -362,12 +356,12 @@ class TestTypedBD:
         gz = table_single_form(orbit.od)
         for p in orbit.od.graph.ids:
             for q in orbit.od.graph.ids:
-                assert formula_Dn(orbit, p, q) == gz.get(p, q)
+                assert typed_restriction(orbit, p, q) == gz.get(p, q)
 
     def test_d_rank2_rejected(self):
         orbit = Orbit(OrbitSpec("D", 2))
         with pytest.raises(GraphFormatError):
-            formula_Dn(orbit, orbit.od.graph.ids[0], orbit.od.graph.ids[0])
+            typed_restriction(orbit, orbit.od.graph.ids[0], orbit.od.graph.ids[0])
 
     def test_d4_spot_pairs(self):
         orbit = Orbit(OrbitSpec("D", 4))

@@ -6,7 +6,6 @@ import pytest
 
 import gkmrest.fibration as fibration
 from gkmrest.canonical import (
-    WeightClassAssignment,
     ordered_table,
     restriction_ordered,
     restriction_single_form,
@@ -198,13 +197,11 @@ class TestErrorParity:
     def test_ordered_table_raises_like_restriction_ordered(self, a2):
         ids = a2.od.graph.ids
         flat = {v: a2.od.graph.moment[ids[0]] for v in ids}
-        for exc_type, classes in ((NoSeparatingClass, [flat]),
-                                  (GraphFormatError, WeightClassAssignment())):
-            with pytest.raises(exc_type) as single:
-                restriction_ordered(a2.od, ids[0], ids[-1], classes)
-            with pytest.raises(exc_type) as table:
-                ordered_table(a2.od, classes)
-            assert str(table.value) == str(single.value)
+        with pytest.raises(NoSeparatingClass) as single:
+            restriction_ordered(a2.od, ids[0], ids[-1], [flat])
+        with pytest.raises(NoSeparatingClass) as table:
+            ordered_table(a2.od, [flat])
+        assert str(table.value) == str(single.value)
 
 
 class TestFilterBuiltOnce:
