@@ -17,7 +17,6 @@ from .gkm import (
     build_canonical_graph,
     choose_generic_xi,
     enumerate_paths,
-    is_index_increasing,
     magnitude,
     validate_gkm,
 )

@@ -160,7 +160,7 @@ def table_single_form(od: OrientedGraphData) -> RestrictionTable:
 def _edge_factor(od: OrientedGraphData, a: str, b: str) -> LinFrac:
     """alpha_a(b) / (downward product at b) = theta(a,b) / weight(a,b)."""
     eta = od.graph.edge_weight(a, b)
-    return LinFrac.from_scalar(od.rank, od.theta(a, b)).div_weight(eta)
+    return LinFrac(od.rank, od.theta(a, b)).div_weight(eta)
 
 
 def _path_terms(od: OrientedGraphData, q: str, walk, what: str) -> list[PathTerm]:

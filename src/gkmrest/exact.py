@@ -652,10 +652,6 @@ class LinFrac:
         return cls(n, 1)
 
     @classmethod
-    def from_scalar(cls, n: int, c) -> "LinFrac":
-        return cls(n, c)
-
-    @classmethod
     def from_weight(cls, w: Weight) -> "LinFrac":
         prim, scale = w.primitive()
         return cls(len(w), scale, (prim,))
@@ -695,16 +691,13 @@ class LinFrac:
     def is_polynomial(self) -> bool:
         return not self.den
 
-    def numerator_poly(self) -> Poly:
+    def to_poly(self) -> Poly:
+        if self.den:
+            raise NotDivisible("fraction has a nontrivial denominator")
         p = Poly.const(self.n, self.scalar)
         for f in self.num:
             p = p.mul_weight(Weight(f))
         return p
-
-    def to_poly(self) -> Poly:
-        if self.den:
-            raise NotDivisible("fraction has a nontrivial denominator")
-        return self.numerator_poly()
 
     def __str__(self):
         if self.scalar == 0:

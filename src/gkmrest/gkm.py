@@ -259,9 +259,6 @@ class OrientedGraphData:
     def rank(self) -> int:
         return self.graph.rank
 
-    def morse_index(self, p: str) -> int:
-        return self.lam[p]
-
     def lambda_minus(self, p: str) -> Poly:
         return self.lambda_minus_poly[p]
 
@@ -270,9 +267,6 @@ class OrientedGraphData:
         for w in self.neg[p]:
             f = f.mul_weight(w)
         return f
-
-    def is_ascending_edge(self, src: str, dst: str) -> bool:
-        return self.phi[src] < self.phi[dst]
 
     def theta(self, p: str, q: str) -> Fraction:
         """Edge scalar: the ratio of the projected downward product at p to
@@ -329,7 +323,8 @@ class OrientedGraphData:
     @cached_property
     def index_increasing(self) -> bool:
         """True when every ascending edge strictly raises the index."""
-        return is_index_increasing(self)
+        return all(self.lam[src] < self.lam[dst] for (src, dst) in self.graph.weights
+                   if self.phi[src] < self.phi[dst])
 
     @cached_property
     def reachable(self) -> dict[str, frozenset[str]]:
@@ -370,15 +365,6 @@ def _scaled_projections(weights, eta: Weight, xi: Weight):
         scale *= s
     forms.sort()
     return forms, scale
-
-
-def is_index_increasing(od: OrientedGraphData) -> bool:
-    """True when every ascending edge strictly raises the index."""
-    g = od.graph
-    for (src, dst) in g.weights:
-        if od.phi[src] < od.phi[dst] and not od.lam[src] < od.lam[dst]:
-            return False
-    return True
 
 
 def walk_paths(start, state, step):
@@ -432,7 +418,7 @@ def build_canonical_graph(od: OrientedGraphData) -> CanonicalGraph:
                 raise GraphFormatError(f"canonical edge ({p},{q}) does not ascend")
             eta = od.graph.edge_weight(p, q)
             th = od.theta(p, q)
-            labels[(p, q)] = LinFrac.from_scalar(od.rank, th).div_weight(eta)
+            labels[(p, q)] = LinFrac(od.rank, th).div_weight(eta)
     return CanonicalGraph(
         rank=od.rank,
         ids=od.graph.ids,

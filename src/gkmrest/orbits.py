@@ -5,10 +5,13 @@ A generic orbit is the Weyl orbit of a regular point mu in the dual space;
 its graph has the orbit points as vertices, reflection pairs as edges, and
 carries a natural tower of projections obtained by collapsing the tail of
 mu.  Types A and C admit closed product formulas over level-monotone cover
-chains; types B and D are handled by descending to the rank-one base orbit
-and solving a smaller orbit of the same type on each fiber (rank three of
-type D is translated to type A through the standard isomorphism of the
-underlying groups).
+chains; types B and D are handled by descending to the rank-one base orbit:
+the horizontal paths into the fiber through q are enumerated by
+fibration.horizontal_paths on the canonical graph, classified by their
+projections to the base, and weighed by the restrictions on the fiber,
+which a smaller orbit of the same type solves (rank three of type D is
+translated to type A through the standard isomorphism of the underlying
+groups).
 """
 
 from __future__ import annotations
@@ -22,14 +25,14 @@ from typing import Iterable, Sequence
 from .canonical import PathTerm
 from .errors import GraphFormatError, ThetaNotOne
 from .exact import LinFrac, Poly, Weight, format_scalar, linfrac_sum_to_poly, pair
-from .fibration import FibrationSpec, TowerLevel, TowerSpec, defining_base_term
-from .gkm import (
-    CanonicalGraph,
-    GkmGraph,
-    OrientedGraphData,
-    enumerate_paths,
-    walk_paths,
+from .fibration import (
+    FibrationSpec,
+    TowerLevel,
+    TowerSpec,
+    defining_base_term,
+    horizontal_paths,
 )
+from .gkm import CanonicalGraph, GkmGraph, OrientedGraphData, walk_paths
 
 CARTAN_TYPES = ("A", "B", "C", "D")
 
@@ -446,15 +449,14 @@ class Orbit:
         self._covers: dict[tuple, tuple] = {}
         self._base_od: OrientedGraphData | None = None
         self._base_fib: FibrationSpec | None = None
-        self._typed_columns: dict[str, dict[str, Poly]] = {}
+        self._columns: dict[str, dict[str, Poly]] = {}
         # orbits the typed engine solves on (fibers, the type A image of
         # rank-three type D), one per distinct spec (type, rank, mu)
         self._children: dict[tuple[str, int, tuple], Orbit] = {}
         # per base vertex: the fiber's child orbit, the free coordinates,
         # and the map from fiber vertices to child vertices
         self._fiber_children: dict[str, tuple[Orbit, list[int], dict[str, str]]] = {}
-        self._paired_cache: dict[tuple[str, str], dict[str, Poly]] = {}
-        self._bucket_cache: dict[tuple[str, str], dict] = {}
+        self._paired_sums: dict[tuple[str, str], dict[str, Poly]] = {}
 
     def _certify(self):
         od = self.od
@@ -591,6 +593,47 @@ class Orbit:
         child = self.child(self.spec.ctype, self.spec.rank - 1, child_min)
         vid_map = {v: _vertex_id(pt) for v, pt in stripped.items()}
         got = self._fiber_children[b] = (child, free, vid_map)
+        return got
+
+    # -- typed engine memos ---------------------------------------------------
+
+    def column(self, q_vid: str) -> dict[str, Poly]:
+        """The typed column at the vertex q_vid (see typed_column), computed
+        on first request and kept on this orbit."""
+        got = self._columns.get(q_vid)
+        if got is not None:
+            return got
+        ctype = self.spec.ctype
+        if ctype in ("A", "C"):
+            got = {self.vid_of[w.word]: formula_AC(self, w, q_vid)[0]
+                   for w in self.elements}
+        elif ctype == "D" and self.spec.rank == 3:
+            got = _d3_column_via_a3(self, q_vid)
+        elif ctype == "D" and self.spec.rank < 3:
+            raise GraphFormatError("type D typed engine needs rank at least 3")
+        else:
+            got = _bd_column(self, q_vid)
+        self._columns[q_vid] = got
+        return got
+
+    def paired_sums(self, p_vid: str, b: str) -> dict[str, Poly]:
+        """For each fiber endpoint s over the base vertex b, the sum of
+        corrected contributions of the relevant horizontal paths from p;
+        kept on this orbit, since it is shared by every target in the
+        fiber."""
+        key = (p_vid, b)
+        got = self._paired_sums.get(key)
+        if got is not None:
+            return got
+        by_s: dict[str, list[LinFrac]] = {}
+        for s_vid, _, term in relevant_path_terms(self, p_vid, b):
+            by_s.setdefault(s_vid, []).append(term)
+        got = {}
+        for s_vid, terms in by_s.items():
+            val = linfrac_sum_to_poly(terms, self.rs.ambient)
+            if not val.is_zero():
+                got[s_vid] = val
+        self._paired_sums[key] = got
         return got
 
     @cached_property
@@ -777,43 +820,19 @@ def classify_base_path(orbit: Orbit, base_path: Sequence[str]) -> PathClassifica
     return PathClassification(tuple(base_path), False, k, relevant)
 
 
-def _horizontal_bucket(orbit: Orbit, p_vid: str, b_vid: str
-                       ) -> dict[str, list[tuple[tuple[str, ...], tuple[str, ...]]]]:
-    """Horizontal canonical paths from p into the fiber over the base
-    vertex b, found by lifting every ascending base path and keeping the
-    lifts whose index rises by exactly one at each step.  Keyed by
-    endpoint; values are (base_path, lifted_path) pairs.  Cached."""
-    got = orbit._bucket_cache.get((p_vid, b_vid))
-    if got is not None:
-        return got
-    base = orbit.base_od()
-    fib = orbit.base_fibration()
-    start_b = fib.vertex_map[p_vid]
-    out: dict[str, list] = {}
-    for base_path in enumerate_paths(base, start_b, b_vid):
-        lifted = lift_path(orbit, p_vid, base_path)
-        ok = all(orbit.od.lam[b] == orbit.od.lam[a] + 1
-                 for a, b in zip(lifted, lifted[1:]))
-        if not ok:
-            continue
-        out.setdefault(lifted[-1], []).append((tuple(base_path), lifted))
-    orbit._bucket_cache[(p_vid, b_vid)] = out
-    return out
-
-
 def relevant_path_terms(orbit: Orbit, p_vid: str, b_vid: str
                         ) -> list[tuple[str, PathClassification, LinFrac]]:
     """(endpoint, classification, corrected contribution) for every
     relevant horizontal path from p into the fiber over b."""
+    od, fib = orbit.od, orbit.base_fibration()
+    fiber = set(fib.fiber_over(b_vid, od.graph.ids))
     out = []
-    for s_vid, pairs in sorted(_horizontal_bucket(orbit, p_vid, b_vid).items()):
-        for base_path, lifted in pairs:
-            cls = classify_base_path(orbit, base_path)
-            if not cls.relevant:
-                continue
-            term = paired_term(orbit, cls, defining_base_term(
-                orbit.od, orbit.base_fibration(), lifted, s_vid))
-            out.append((s_vid, cls, term))
+    for s_vid, paths in sorted(horizontal_paths(od, fib, p_vid, fiber).items()):
+        for path in paths:
+            cls = classify_base_path(orbit, tuple(fib.vertex_map[v] for v in path))
+            if cls.relevant:
+                term = defining_base_term(od, fib, path, s_vid)
+                out.append((s_vid, cls, paired_term(orbit, cls, term)))
     return out
 
 
@@ -876,23 +895,9 @@ def _embed_poly(poly: Poly, free: Sequence[int], m: int) -> Poly:
 
 def typed_column(orbit: Orbit, q) -> dict[str, Poly]:
     """Values alpha_._(q) for all sources, computed by this orbit's
-    type-specific engine."""
-    q_vid = orbit.vertex(q)
-    got = orbit._typed_columns.get(q_vid)
-    if got is not None:
-        return got
-    ctype = orbit.spec.ctype
-    if ctype in ("A", "C"):
-        col = {orbit.vid_of[w.word]: formula_AC(orbit, w, q_vid)[0]
-               for w in orbit.elements}
-    elif ctype == "D" and orbit.spec.rank == 3:
-        col = _d3_column_via_a3(orbit, q_vid)
-    elif ctype == "D" and orbit.spec.rank < 3:
-        raise GraphFormatError("type D typed engine needs rank at least 3")
-    else:
-        col = _bd_column(orbit, q_vid)
-    orbit._typed_columns[q_vid] = col
-    return col
+    type-specific engine: the closed formula for types A and C, rank-three
+    type D through type A, and the fiber recursion for types B and D."""
+    return orbit.column(orbit.vertex(q))
 
 
 def typed_restriction(orbit: Orbit, p, q) -> Poly:
@@ -932,27 +937,6 @@ def _d3_column_via_a3(orbit: Orbit, q_vid: str) -> dict[str, Poly]:
             for v in orbit.od.graph.ids}
 
 
-def _paired_sums(orbit: Orbit, p_vid: str, b: str) -> dict[str, Poly]:
-    """For each fiber endpoint s over b, the sum of corrected contributions
-    of the relevant horizontal paths from p; cached, since it is shared by
-    every target in the fiber."""
-    key = (p_vid, b)
-    got = orbit._paired_cache.get(key)
-    if got is not None:
-        return got
-    m = orbit.rs.ambient
-    by_s: dict[str, list[LinFrac]] = {}
-    for s_vid, _, term in relevant_path_terms(orbit, p_vid, b):
-        by_s.setdefault(s_vid, []).append(term)
-    out: dict[str, Poly] = {}
-    for s_vid, terms in by_s.items():
-        val = linfrac_sum_to_poly(terms, m)
-        if not val.is_zero():
-            out[s_vid] = val
-    orbit._paired_cache[key] = out
-    return out
-
-
 def _bd_column(orbit: Orbit, q_vid: str) -> dict[str, Poly]:
     """Inductive formula for types B and D: pair the incomplete horizontal
     paths into the fiber through q, keep the relevant ones with their
@@ -967,7 +951,7 @@ def _bd_column(orbit: Orbit, q_vid: str) -> dict[str, Poly]:
     for w in orbit.elements:
         p_vid = orbit.vid_of[w.word]
         total = Poly.zero(m)
-        for s_vid, qsum in _paired_sums(orbit, p_vid, b).items():
+        for s_vid, qsum in orbit.paired_sums(p_vid, b).items():
             mult = fiber_col[s_vid]
             if not mult.is_zero():
                 total = total + qsum * mult
@@ -985,13 +969,13 @@ def pairing_check(orbit: Orbit, s) -> dict:
     s_vid = orbit.vertex(s)
     fib = orbit.base_fibration()
     base = orbit.base_od()
-    bs = fib.vertex_map[s_vid]
     report = {"target": s_vid, "pairs": 0, "complete": 0, "failures": []}
     by_phi = sorted(base.graph.ids, key=lambda v: base.phi[v])
     point_vid = {(_signed_axis(base.graph.moment[v])): v for v in by_phi}
     for w in orbit.elements:
         p_vid = orbit.vid_of[w.word]
-        bucket = _horizontal_bucket(orbit, p_vid, bs).get(s_vid, [])
+        bucket = [(tuple(fib.vertex_map[v] for v in lp), lp)
+                  for lp in horizontal_paths(orbit.od, fib, p_vid, {s_vid})[s_vid]]
         by_set = {frozenset(bp): (bp, lp) for bp, lp in bucket}
         if len(by_set) != len(bucket):
             report["failures"].append(f"duplicate projected vertex set from {p_vid}")

@@ -175,17 +175,24 @@ def test_criterion_6_tower_reduces_paths():
 
 
 def test_criterion_7_incomplete_path_pairing():
-    """For B2, B3, D4 and every fiber target, incomplete horizontal paths
-    pair off by the axis swap and each pair sums to the corrected term."""
+    """For B2, B3, D3, D4 and every fiber target, incomplete horizontal
+    paths pair off by the axis swap and each pair sums to the corrected
+    term.  The totals of pairs and of complete paths are pinned, so a
+    dropped path fails here even when no pair breaks."""
+    # (pairs, complete paths) summed over every target
+    expected = {("B", 2): (1, 22), ("B", 3): (20, 246),
+                ("D", 3): (17, 90), ("D", 4): (324, 1370)}
     stats = []
-    for ctype, rank in (("B", 2), ("B", 3), ("D", 4)):
+    for (ctype, rank), totals in expected.items():
         orbit = _orbit(ctype, rank)
-        pairs = 0
+        pairs = complete = 0
         for s in orbit.od.graph.ids:
             report = pairing_check(orbit, s)
             assert not report["failures"], (ctype, rank, s, report["failures"][:3])
             pairs += report["pairs"]
-        stats.append(f"{ctype}{rank}:{pairs}")
+            complete += report["complete"]
+        assert (pairs, complete) == totals, (ctype, rank)
+        stats.append(f"{ctype}{rank}:{pairs}/{complete}")
     print(f"\nACCEPTANCE 7 PASS: incomplete paths pair exactly ({', '.join(stats)})")
 
 

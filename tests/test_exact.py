@@ -307,14 +307,14 @@ class TestLinFracSum:
         forms = [W(1, -1, 0), W(0, 1, -1), W(1, 0, -1), W(1, 1, 0)]
         base = []
         for _ in range(6):
-            t = LinFrac.from_scalar(n, rng.randint(1, 4))
+            t = LinFrac(n, rng.randint(1, 4))
             for _ in range(rng.randint(0, 2)):
                 t = t.mul_weight(rng.choice(forms))
             t = t.div_weight(rng.choice(forms))
             base.append(t)
         # make the sum polynomial by adding the mirrored terms over the
         # same denominators, then permute
-        terms = base + [t.mul_scalar(-1) for t in base] + [LinFrac.from_scalar(n, 3)]
+        terms = base + [t.mul_scalar(-1) for t in base] + [LinFrac(n, 3)]
         expected = linfrac_sum_to_poly(terms, n)
         assert expected == Poly.const(n, 3)
         for _ in range(5):

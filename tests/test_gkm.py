@@ -13,7 +13,6 @@ from gkmrest.gkm import (
     choose_generic_xi,
     enumerate_paths,
     export_dot,
-    is_index_increasing,
     magnitude,
     validate_gkm,
 )
@@ -87,7 +86,7 @@ class TestGenericXi:
 class TestMorseData:
     def test_indices(self, cp2_oriented):
         od = cp2_oriented
-        assert [od.morse_index(p) for p in ("p1", "p2", "p3")] == [0, 1, 2]
+        assert [od.lam[p] for p in ("p1", "p2", "p3")] == [0, 1, 2]
 
     def test_lambda_minus_top(self, cp2_oriented):
         od = cp2_oriented
@@ -105,7 +104,7 @@ class TestMorseData:
         for p in od.graph.ids:
             lp = od.lambda_minus(p)
             assert lp.is_homogeneous()
-            assert max(lp.degree(), 0) == od.morse_index(p)
+            assert max(lp.degree(), 0) == od.lam[p]
 
 
 class TestIndexIncreasing:
@@ -113,7 +112,7 @@ class TestIndexIncreasing:
         for n in (1, 2, 3):
             g = projective_space_graph(n)
             od = OrientedGraphData(g, choose_generic_xi(g))
-            assert is_index_increasing(od)
+            assert od.index_increasing
 
     def test_counterexample(self):
         # chain u - v - w along one axis: the edge (v, w) ascends but the
@@ -124,7 +123,7 @@ class TestIndexIncreasing:
         g = GkmGraph(2, verts, edges)
         od = OrientedGraphData(g, Weight((1, 1)))
         assert od.lam["v"] == od.lam["w"] == 1
-        assert not is_index_increasing(od)
+        assert not od.index_increasing
 
     def test_flag_memoised_on_the_data(self, cp2_oriented):
         assert "index_increasing" not in vars(cp2_oriented)

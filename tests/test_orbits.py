@@ -10,7 +10,8 @@ import pytest
 from gkmrest.canonical import brute_solve_canonical, table_single_form
 from gkmrest.errors import GraphFormatError, ThetaNotOne
 from gkmrest.exact import Weight, pair, parse_poly
-from gkmrest.gkm import magnitude, validate_gkm
+from gkmrest.fibration import horizontal_paths
+from gkmrest.gkm import enumerate_paths, magnitude, validate_gkm
 from gkmrest.orbits import (
     Orbit,
     OrbitSpec,
@@ -303,7 +304,6 @@ class TestLiftAndClassify:
         assert lift_path(b2, "-2,1", ["-1,0"]) == ("-2,1",)
 
     def test_reflection_product_endpoint(self, b2, c2):
-        from gkmrest.gkm import enumerate_paths
         for orbit in (b2, c2):
             base = orbit.base_od()
             ids = base.graph.ids
@@ -332,6 +332,25 @@ class TestLiftAndClassify:
     def test_classify_paths_wrapper(self, b2):
         out = classify_base_path(b2, ("-1,0", "0,1", "1,0"))
         assert isinstance(out, PathClassification)
+
+    @pytest.mark.parametrize("ctype,rank,mu", [
+        ("B", 2, None), ("B", 3, None), ("B", 3, (-7, -3, -1)), ("D", 4, None)])
+    def test_horizontal_paths_are_the_index_one_lifts(self, ctype, rank, mu):
+        """The horizontal canonical paths from p into the fiber over b are
+        exactly the lifts of the ascending base paths whose index rises by
+        one at each step."""
+        orbit = Orbit(OrbitSpec(ctype, rank, mu=mu))
+        od, base, fib = orbit.od, orbit.base_od(), orbit.base_fibration()
+        for p in od.graph.ids:
+            for b in base.graph.ids:
+                fiber = set(fib.fiber_over(b, od.graph.ids))
+                walked = {path for paths in horizontal_paths(od, fib, p, fiber).values()
+                          for path in paths}
+                lifts = {lift_path(orbit, p, bp)
+                         for bp in enumerate_paths(base, fib.vertex_map[p], b)}
+                lifted = {path for path in lifts
+                          if all(od.lam[v] == od.lam[u] + 1 for u, v in zip(path, path[1:]))}
+                assert walked == lifted, (p, b)
 
 
 class TestTypedBD:
@@ -362,6 +381,26 @@ class TestTypedBD:
         orbit = Orbit(OrbitSpec("D", 2))
         with pytest.raises(GraphFormatError):
             typed_restriction(orbit, orbit.od.graph.ids[0], orbit.od.graph.ids[0])
+
+    @pytest.mark.parametrize("ctype,rank,calls", [("B", 3, 320), ("D", 4, 1536)])
+    def test_paired_sums_walk_each_source_and_base_vertex_once(
+            self, monkeypatch, ctype, rank, calls):
+        """A typed table asks for the relevant path terms once per source
+        and base vertex of every orbit it solves on; a second table on the
+        same orbit reuses the kept sums and columns."""
+        import gkmrest.orbits as orbits
+        seen = []
+
+        def counting(orbit, p_vid, b_vid):
+            seen.append((id(orbit), p_vid, b_vid))
+            return relevant_path_terms(orbit, p_vid, b_vid)
+
+        monkeypatch.setattr(orbits, "relevant_path_terms", counting)
+        orbit = Orbit(OrbitSpec(ctype, rank))
+        typed_table(orbit)
+        assert len(seen) == len(set(seen)) == calls
+        typed_table(orbit)
+        assert len(seen) == calls
 
     def test_d4_spot_pairs(self):
         orbit = Orbit(OrbitSpec("D", 4))
