@@ -24,8 +24,10 @@ Every value is an exact polynomial; engines must agree entry by entry.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -36,7 +38,7 @@ from .errors import (
     NotDivisible,
     WellDefinednessViolation,
 )
-from .exact import LinFrac, Poly, Weight, linfrac_sum_to_poly, pair
+from .exact import LinFrac, Poly, Weight, format_scalar, linfrac_sum_to_poly, pair
 # magnitude is no longer called here; it stays importable from this module
 # because perfbench/selftest.py checks that the tracer wraps this binding
 from .gkm import OrientedGraphData, magnitude, walk_paths  # noqa: F401
@@ -71,6 +73,24 @@ class RestrictionTable:
     def to_json(self) -> dict:
         return {f"{p}|{q}": poly.to_json()
                 for (p, q), poly in sorted(self.entries.items())}
+
+    def json_chunks(self) -> Iterator[str]:
+        """The text of json.dumps(self.to_json(), sort_keys=True), one
+        entry per chunk, written without building the per-term dicts."""
+        exp_text: dict[tuple[int, ...], str] = {}
+        keyed = sorted(((f"{p}|{q}", poly) for (p, q), poly in self.entries.items()),
+                       key=itemgetter(0))
+        sep = "{"
+        for key, poly in keyed:
+            terms = []
+            for e, c in poly.sorted_terms():
+                text = exp_text.get(e)
+                if text is None:
+                    text = exp_text[e] = "[" + ", ".join(map(str, e)) + "]"
+                terms.append(f'{{"coeff": "{format_scalar(c)}", "exp": {text}}}')
+            yield f'{sep}{json.dumps(key)}: [{", ".join(terms)}]'
+            sep = ", "
+        yield "{}" if sep == "{" else "}"
 
     def to_csv(self) -> str:
         lines = ["p,q,lam_p,lam_q,degree,terms,integer_coeffs,poly"]
@@ -353,30 +373,29 @@ def verify_tech(
 # ---------------------------------------------------------------------------
 
 def _solve_congruences(
-    congs: Sequence[tuple[Weight, Poly]], degree: int, n: int,
+    congs: Sequence[tuple[Weight, Poly]], hres_of: Sequence[Poly | None],
+    degree: int, n: int,
 ) -> Poly:
     """The unique homogeneous polynomial of the given degree congruent to
     f_i modulo the linear form eta_i for every supplied pair (eta_i, f_i).
 
     Built incrementally: a partial solution for the first k congruences is
     corrected by a multiple of eta_1*...*eta_k computed on the (k+1)-st
-    hyperplane.  Degrees are forced, so failure of any exact division means
-    the congruences are unsolvable in this degree."""
+    hyperplane.  hres_of[k] is that product restricted to eta_{k+1} = 0,
+    None when a factor vanishes there (OrientedGraphData.congruence_products).
+    Degrees are forced, so failure of any exact division means the
+    congruences are unsolvable in this degree."""
     g = Poly.zero(n)
     used: list[Weight] = []
-    for eta, f in congs:
+    for (eta, f), hres in zip(congs, hres_of, strict=True):
         delta = (f - g).restrict_zero(eta)
         if delta.is_zero():
             used.append(eta)
             continue
         if len(used) > degree:
             raise NoSolution("correction term would need negative degree")
-        hres = Poly.const(n, 1)
-        for h in used:
-            piece = Poly.from_weight(h).restrict_zero(eta)
-            if piece.is_zero():
-                raise NoSolution("dependent congruence directions")
-            hres = hres * piece
+        if hres is None:
+            raise NoSolution("dependent congruence directions")
         try:
             u = delta.div_exact(hres)
         except NotDivisible as exc:
@@ -411,12 +430,12 @@ def brute_row(od: OrientedGraphData, p: str) -> dict[str, Poly]:
                 raise NonUniqueSolution(f"vertex {v} has no downward edges")
             val = Poly.zero(n)
         else:
-            val = _solve_congruences(congs, d, n)
+            val = _solve_congruences(congs, od.congruence_products(v), d, n)
             if val and (not val.is_homogeneous() or val.degree() != d):
                 raise NoSolution(f"value at {v} is not homogeneous of degree {d}")
         if v == p or od.lam[v] <= d:
             for eta, f in congs:
-                if not (val - f).divisible_by_weight(eta):
+                if val != f and not (val - f).divisible_by_weight(eta):
                     raise NoSolution(
                         f"imposed value at {v} violates the congruence along ({v},...)")
         row[v] = val

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .canonical import RestrictionTable
 from .errors import GkmError, GraphFormatError
@@ -126,12 +127,9 @@ def cmd_table(args) -> int:
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(table.to_csv() + "\n")
-    payload = json.dumps(table.to_json(), sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        fh.writelines(table.json_chunks())
+        fh.write("\n")
     return 0
 
 

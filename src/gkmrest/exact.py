@@ -180,6 +180,13 @@ def format_weight(coords: Sequence) -> str:
 # Sparse multivariate polynomials
 # ---------------------------------------------------------------------------
 
+# One tuple per exponent vector read by Poly.from_json.  Degree D in n
+# variables has C(D+n, n) monomials, 1,820 for a rank-4 table; the limit
+# only keeps unrelated inputs in one process from growing it without end.
+_EXP_POOL: dict[tuple[int, ...], tuple[int, ...]] = {}
+_EXP_POOL_LIMIT = 1 << 16
+
+
 def _grlex_key(exp: tuple[int, ...]):
     return (sum(exp), exp)
 
@@ -298,7 +305,14 @@ class Poly:
         return Poly(self.n, {e: -c for e, c in self.terms.items()}, _clean=True)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, 0) - c
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+        return Poly(self.n, out, _clean=True)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if len(self.terms) > len(other.terms):
@@ -535,12 +549,19 @@ class Poly:
 
     @classmethod
     def from_json(cls, n: int, data: list[dict]) -> "Poly":
+        """Read a term list.  Equal exponent vectors share one tuple from
+        _EXP_POOL, so a table read back holds each monomial once."""
         terms = {}
         for item in data:
-            e = tuple(int(a) for a in item["exp"])
+            e = tuple(map(int, item["exp"]))
             if len(e) != n:
                 raise ValueError("exponent length mismatch")
-            terms[e] = _as_exact(item["coeff"])
+            pooled = _EXP_POOL.get(e)
+            if pooled is None:
+                if len(_EXP_POOL) >= _EXP_POOL_LIMIT:
+                    _EXP_POOL.clear()
+                pooled = _EXP_POOL[e] = e
+            terms[pooled] = _as_exact(item["coeff"])
         return cls(n, terms)
 
     def __str__(self):

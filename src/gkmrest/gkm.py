@@ -41,6 +41,10 @@ class GkmGraph:
         self.ids: tuple[str, ...] = tuple(v[0] for v in vertices)
         if len(set(self.ids)) != len(self.ids):
             raise GraphFormatError("duplicate vertex ids")
+        for vid in self.ids:
+            # "|" joins the two ids of a restriction-table key
+            if "|" in vid:
+                raise GraphFormatError(f"vertex id {vid!r} contains '|'")
         self.moment: dict[str, Weight] = {}
         for vid, mom in vertices:
             if len(mom) != rank:
@@ -215,8 +219,8 @@ class OrientedGraphData:
     """A graph together with a certified direction vector and the derived
     Morse data: phi values, indices, downward weight multisets, and their
     products.  The Morse data is built eagerly; edge scalars, gz
-    coefficients, the index-increasing flag, canonical reachability and the
-    lower neighbours are memoised on first use.
+    coefficients, the index-increasing flag, canonical reachability, the
+    lower neighbours and the congruence products are memoised on first use.
     """
 
     def __init__(self, graph: GkmGraph, xi: Weight):
@@ -254,6 +258,7 @@ class OrientedGraphData:
         )
         self._theta_cache: dict[tuple[str, str], Fraction] = {}
         self._gz_coefficients: dict[tuple[str, str], Fraction] = {}
+        self._congruence_products: dict[str, tuple[Poly | None, ...]] = {}
 
     @property
     def rank(self) -> int:
@@ -319,6 +324,29 @@ class OrientedGraphData:
         if c is None:
             c = self._gz_coefficients[(v, r)] = magnitude(self.graph, v, r) * th
         return c
+
+    def congruence_products(self, v: str) -> tuple[Poly | None, ...]:
+        """For the k-th lower neighbour of v (lower_adj order), with eta_h
+        the weight of the edge from the h-th one to v: the product of
+        eta_h over h < k restricted to eta_k = 0, or None when a factor
+        vanishes there.  These are the divisors of the brute congruence
+        solver; they do not depend on the row, so they are memoised per
+        vertex."""
+        got = self._congruence_products.get(v)
+        if got is None:
+            etas = [self.graph.weights[(r, v)] for r in self.lower_adj[v]]
+            products: list[Poly | None] = []
+            for k, eta in enumerate(etas):
+                prod = Poly.const(self.rank, 1)
+                for h in etas[:k]:
+                    piece = Poly.from_weight(h).restrict_zero(eta)
+                    if piece.is_zero():
+                        prod = None
+                        break
+                    prod = prod * piece
+                products.append(prod)
+            got = self._congruence_products[v] = tuple(products)
+        return got
 
     @cached_property
     def index_increasing(self) -> bool:

@@ -1,5 +1,8 @@
 """Tests for the restriction engines on small reference graphs."""
 
+import json
+from fractions import Fraction
+
 import pytest
 
 from gkmrest.canonical import (
@@ -130,8 +133,55 @@ class TestBrute:
         edges = [("u", "v", Weight((1, 0))), ("v", "w", Weight((0, 1)))]
         od = OrientedGraphData(GkmGraph(2, verts, edges), Weight((1, 1)))
         assert od.lam["v"] == od.lam["w"] == 1
-        with pytest.raises(NoSolution):
+        with pytest.raises(NoSolution) as exc:
             brute_row(od, "v")
+        assert str(exc.value) == "imposed value at w violates the congruence along (w,...)"
+
+    # Each graph makes the congruence solver fail at v, the top vertex, in
+    # the row of p; the messages are pinned verbatim.
+    BROKEN_ROWS = {
+        # p (value x1) and r (value 0) meet v along proportional weights
+        "dependent": (
+            2, Weight((1, 3)),
+            [("a", (0, 0)), ("p", (1, 0)), ("r", (1, Fraction(1, 2))), ("v", (1, 1))],
+            [("a", "p", (1, 0)), ("p", "v", (0, 1)), ("r", "v", (0, 2))],
+            "dependent congruence directions"),
+        # two minima below v: the constant row of p would have to drop to 0
+        "negative degree": (
+            2, Weight((1, 3)),
+            [("p", (0, 0)), ("r", (1, -1)), ("v", (1, 0))],
+            [("p", "v", (1, 0)), ("r", "v", (0, 1))],
+            "correction term would need negative degree"),
+        # x1 on the hyperplane x3 = 0 is not a multiple of x2
+        "inconsistent": (
+            3, Weight((1, 3, 9)),
+            [("a", (0, 0, 0)), ("p", (1, 0, 0)), ("r", (1, 1, -1)), ("v", (1, 1, 0))],
+            [("a", "p", (1, 0, 0)), ("p", "v", (0, 1, 0)), ("r", "v", (0, 0, 1))],
+            "congruences are inconsistent: not divisible by linear form x2"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_ROWS))
+    def test_congruence_failure_messages(self, case):
+        rank, xi, verts, edges, message = self.BROKEN_ROWS[case]
+        g = GkmGraph(rank, [(v, Weight(m)) for v, m in verts],
+                     [(a, b, Weight(w)) for a, b, w in edges])
+        with pytest.raises(NoSolution) as exc:
+            brute_row(OrientedGraphData(g, xi), "p")
+        assert str(exc.value) == message
+
+    def test_congruence_products(self):
+        """Per lower neighbour of v, the earlier edge weights at v
+        restricted to its own: None for a proportional pair, and memoised."""
+        want = {"dependent": (Poly.const(2, 1), None),
+                "inconsistent": (Poly.const(3, 1), parse_poly("x2", 3))}
+        for case, products in want.items():
+            rank, xi, verts, edges, _ = self.BROKEN_ROWS[case]
+            g = GkmGraph(rank, [(v, Weight(m)) for v, m in verts],
+                         [(a, b, Weight(w)) for a, b, w in edges])
+            od = OrientedGraphData(g, xi)
+            assert od.lower_adj["v"] == ("p", "r")
+            assert od.congruence_products("v") == products
+            assert od.congruence_products("v") is od.congruence_products("v")
 
 
 class TestVertexClassSum:
@@ -343,3 +393,27 @@ class TestTableSerialization:
         csv = table_single_form(cp2_oriented).to_csv()
         assert csv.splitlines()[0].startswith("p,q,lam_p")
         assert "true" in csv
+
+    @pytest.mark.parametrize("ctype", ["A", "B", "C"])
+    def test_json_chunks_match_json_dumps_on_orbits(self, ctype):
+        from gkmrest.orbits import Orbit, OrbitSpec
+        tab = table_single_form(Orbit(OrbitSpec(ctype, 3)).od)
+        assert "".join(tab.json_chunks()) == json.dumps(tab.to_json(), sort_keys=True)
+
+    def test_json_chunks_escape_ids_and_write_fractions(self):
+        # ids that json.dumps escapes, zero entries and non-integral
+        # coefficients; the keys of q"1 sort before those of q, against
+        # the order of the (p, q) pairs
+        ids = ("q", 'q"1', "é")
+        verts = [(v, Weight((i, 0))) for i, v in enumerate(ids)]
+        edges = [(ids[0], ids[1], Weight((1, 0))), (ids[1], ids[2], Weight((1, 0)))]
+        od = OrientedGraphData(GkmGraph(2, verts, edges), Weight((1, 1)))
+        values = [Poly.zero(2), parse_poly("1/2*x1^2 - 3*x1*x2 + 7/3", 2),
+                  Poly.const(2, Fraction(-5, 4)), parse_poly("x2", 2)]
+        entries = {(p, q): values[(i + 2 * j) % len(values)]
+                   for i, p in enumerate(ids) for j, q in enumerate(ids)}
+        for tab in (RestrictionTable(od, entries), RestrictionTable(od, {})):
+            text = "".join(tab.json_chunks())
+            assert text == json.dumps(tab.to_json(), sort_keys=True)
+            assert json.loads(text) == tab.to_json()
+        assert "\\u00e9" in "".join(RestrictionTable(od, entries).json_chunks())

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from gkmrest.cli import main
 from gkmrest.exact import Poly, parse_poly
 from gkmrest.gkm import GkmGraph, validate_gkm
+from gkmrest.oracle import engine_entries
 
-from conftest import projective_space_graph
+from conftest import product_of_projective_spaces, projective_space_graph
 
 
 @pytest.fixture
@@ -276,6 +278,55 @@ class TestTable:
             assert code == 2, argv
             assert engine in captured.err and "Traceback" not in captured.err
             assert captured.out == ""
+
+    def test_streamed_output_never_builds_to_json(self, capsys, tmp_path, monkeypatch):
+        from gkmrest.canonical import RestrictionTable
+        from gkmrest.orbits import Orbit, OrbitSpec
+        orbit = Orbit(OrbitSpec("B", 2))
+        table = RestrictionTable(orbit.od, engine_entries(orbit, "gz"))
+        want = json.dumps(table.to_json(), sort_keys=True)
+
+        def refuse(self):
+            raise AssertionError("table output went through to_json")
+
+        monkeypatch.setattr(RestrictionTable, "to_json", refuse)
+        code, out = run(capsys, "table", "--type", "B", "--rank", "2")
+        assert code == 0 and out == want + "\n"
+        path = tmp_path / "t.json"
+        code, rest = run(capsys, "table", "--type", "B", "--rank", "2", "--out", str(path))
+        assert code == 0 and rest == ""
+        assert path.read_bytes() == out.encode("utf-8")
+
+    def test_bar_in_vertex_id_exits_2(self, capsys, tmp_path):
+        """Ids a|b, c and a, b|c would share the table key a|b|c."""
+        data = product_of_projective_spaces(1, 1).to_json()
+        rename = dict(zip((v["id"] for v in data["vertices"]), ("a", "a|b", "c", "b|c")))
+        for v in data["vertices"]:
+            v["id"] = rename[v["id"]]
+        for e in data["edges"]:
+            e["src"], e["dst"] = rename[e["src"]], rename[e["dst"]]
+        path = tmp_path / "bars.json"
+        path.write_text(json.dumps(data))
+        code = main(["table", "--graph", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: vertex id 'a|b' contains '|'\n"
+
+    # sha256 of the table JSON, the stdout of `table` without its newline
+    TABLE_SHA256 = {
+        "A": "e80a4ca493d4cfbbdeae28f4ec41e3277d9e9eab8636d77e50dbf19b68837452",
+        "B": "55f00d06f4cdc1162d6e5f27e08f52cf54f1a43070176c4ceeb68e2b2134b3a8",
+        "C": "9cb346700a90a073099820fdd759290c924a340a53d0d1b7790a0b795b9c95fe",
+    }
+
+    @pytest.mark.parametrize("engine", ["gz", "brute"])
+    @pytest.mark.parametrize("ctype", sorted(TABLE_SHA256))
+    def test_rank3_table_bytes_are_pinned(self, capsys, ctype, engine):
+        code, out = run(capsys, "table", "--type", ctype, "--rank", "3", "--engine", engine)
+        assert code == 0
+        body, newline = out[:-1], out[-1:]
+        assert newline == "\n" and not body.endswith("\n")
+        assert hashlib.sha256(body.encode("utf-8")).hexdigest() == self.TABLE_SHA256[ctype]
 
 
 class TestOrbitCommand:

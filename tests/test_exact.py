@@ -126,6 +126,72 @@ class TestPolyBasics:
         assert not parse_poly("x1 + 1", 2).is_homogeneous()
 
 
+def random_poly(rng, n, size):
+    terms = {}
+    for _ in range(size):
+        e = tuple(rng.randint(0, 3) for _ in range(n))
+        terms[e] = rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 4))])
+    return Poly(n, terms)
+
+
+def typed_terms(p):
+    return {e: (type(c), c) for e, c in p.terms.items()}
+
+
+class TestSubtraction:
+    """a - b merges b's terms into a copy of a; the reference is
+    a + (-b), down to the type of each coefficient."""
+
+    def test_matches_adding_the_negation(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            a, b = random_poly(rng, n, rng.randint(0, 8)), random_poly(rng, n, rng.randint(0, 8))
+            # share some terms, and cancel some of them exactly
+            for e, c in list(a.terms.items())[: rng.randint(0, len(a.terms))]:
+                b = b + Poly(n, {e: c if rng.random() < 0.5 else c + 1})
+            for x, y in ((a, b), (b, a), (a, a), (a, Poly.zero(n)), (Poly.zero(n), a)):
+                got = x - y
+                assert typed_terms(got) == typed_terms(x + (-y))
+                assert 0 not in got.terms.values()
+            assert (a - a).terms == {}
+
+    def test_operands_unchanged(self):
+        a, b = parse_poly("x1 + 2*x2", 2), parse_poly("x1 - 1/2*x2", 2)
+        before = (dict(a.terms), dict(b.terms))
+        assert a - b == parse_poly("5/2*x2", 2)
+        assert (a.terms, b.terms) == before
+
+
+class TestFromJson:
+    def test_roundtrip_random(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            p = random_poly(rng, n, rng.randint(0, 8))
+            assert Poly.from_json(n, p.to_json()) == p
+
+    def test_reads_share_exponent_tuples(self):
+        data = parse_poly("3*x1^2*x3 - 1/2*x2 + 5", 3).to_json()
+        first, second = Poly.from_json(3, data), Poly.from_json(3, data)
+        assert first == second
+        assert all(a is b for a, b in zip(first.terms, second.terms, strict=True))
+
+    def test_length_mismatch_and_string_exponents(self):
+        with pytest.raises(ValueError):
+            Poly.from_json(3, [{"exp": [1, 0], "coeff": "1"}])
+        p = Poly.from_json(2, [{"exp": ["2", "1"], "coeff": "3"}])
+        assert p == parse_poly("3*x1^2*x2", 2)
+
+    def test_pool_is_bounded(self, monkeypatch):
+        import gkmrest.exact as exact
+        monkeypatch.setattr(exact, "_EXP_POOL", {})
+        monkeypatch.setattr(exact, "_EXP_POOL_LIMIT", 2)
+        for k in range(5):
+            assert Poly.from_json(1, [{"exp": [k], "coeff": "1"}]).terms == {(k,): 1}
+            assert len(exact._EXP_POOL) <= 2
+
+
 class TestDivision:
     def test_exact_linear_factor(self):
         n = 3
