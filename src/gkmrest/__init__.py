@@ -23,14 +23,10 @@ from .gkm import (
 from .canonical import (
     RestrictionTable,
     adjacent_restriction,
-    brute_solve_canonical,
     certify_table,
-    ordered_table,
     restriction_ordered,
-    restriction_single_form,
     restriction_vertex_classes,
     structure_constants,
-    table_single_form,
     verify_tech,
 )
 from .fibration import (
@@ -40,7 +36,6 @@ from .fibration import (
     fiber_decomposition,
     skipped_vertices,
     tower_restriction,
-    tower_table,
 )
 from .orbits import (
     Orbit,

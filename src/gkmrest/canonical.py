@@ -10,8 +10,8 @@ values alpha_p(q) by several independent routes:
   * explicit path sums, either with one degree-two class per vertex, given
     as a mapping from vertex to class (restriction_vertex_classes), or with
     a list of classes and the first-separating-level filter
-    (filtered_path_sum, which restriction_ordered, ordered_table and the
-    tower engine of the fibration module share).  Both are one step
+    (filtered_path_sum, which restriction_ordered, filtered_path_row and
+    the tower engine of the fibration module share).  Both are one step
     function over the depth-first walk gkm.walk_paths;
   * a solver that knows nothing about path formulas and only imposes the
     defining vanishing conditions together with the edge-divisibility
@@ -66,9 +66,6 @@ class RestrictionTable:
 
     def get(self, p: str, q: str) -> Poly:
         return self.entries[(p, q)]
-
-    def row(self, p: str) -> dict[str, Poly]:
-        return {q: self.entries[(p, q)] for q in self.od.graph.ids}
 
     def to_json(self) -> dict:
         return {f"{p}|{q}": poly.to_json()
@@ -157,20 +154,6 @@ def single_form_column(od: OrientedGraphData, q: str) -> dict[str, Poly]:
                 f"moment values of {v} and {q} coincide on a live path")
         col[v] = total.div_weight(diff)
     return col
-
-
-def restriction_single_form(od: OrientedGraphData, p: str, q: str) -> Poly:
-    """alpha_p(q) via the moment-driven dynamic program."""
-    return single_form_column(od, q)[p]
-
-
-def table_single_form(od: OrientedGraphData) -> RestrictionTable:
-    entries: dict[tuple[str, str], Poly] = {}
-    for q in od.graph.ids:
-        col = single_form_column(od, q)
-        for p, val in col.items():
-            entries[(p, q)] = val
-    return RestrictionTable(od, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -308,15 +291,10 @@ def filtered_path_sum(
     return linfrac_sum_to_poly([t.value for t in ledger], n), ledger
 
 
-def filtered_path_table(od: OrientedGraphData, h_edge: Mapping[tuple[str, str], int],
-                        w_level: Callable[[int, str], Weight],
-                        ) -> Iterator[tuple[tuple[str, str], Poly, list[PathTerm]]]:
-    """filtered_path_sum over every ordered pair, yielding
-    ((p, q), value, ledger) row by row with one shared filter."""
-    for p in od.graph.ids:
-        for q in od.graph.ids:
-            value, ledger = filtered_path_sum(od, p, q, h_edge, w_level)
-            yield (p, q), value, ledger
+def filtered_path_row(od: OrientedGraphData, h_edge: Mapping[tuple[str, str], int],
+                      w_level: Callable[[int, str], Weight], p: str) -> dict[str, Poly]:
+    """filtered_path_sum from p to every vertex, keyed by the target."""
+    return {q: filtered_path_sum(od, p, q, h_edge, w_level)[0] for q in od.graph.ids}
 
 
 def ordered_filter(
@@ -324,8 +302,8 @@ def ordered_filter(
     classes: Sequence[Mapping[str, Weight]],
 ) -> tuple[dict[tuple[str, str], int], Callable[[int, str], Weight]]:
     """The h-function and level values of an ordered class list, as
-    filtered_path_sum takes them; raises NoSeparatingClass when some
-    canonical edge is separated by no class."""
+    filtered_path_sum and filtered_path_row take them; raises
+    NoSeparatingClass when some canonical edge is separated by no class."""
     return build_h_function(od, classes), lambda j, v: classes[j - 1][v]
 
 
@@ -336,16 +314,6 @@ def restriction_ordered(
     """Filtered path sum for an ordered list of classes; callers are
     expected to have certified the vanishing hypothesis (verify_tech)."""
     return filtered_path_sum(od, p, q, *ordered_filter(od, classes))
-
-
-def ordered_table(
-    od: OrientedGraphData,
-    classes: Sequence[Mapping[str, Weight]],
-) -> Iterator[tuple[tuple[str, str], Poly, list[PathTerm]]]:
-    """restriction_ordered for every pair, as ((p, q), value, ledger) in
-    row-major order.  The filter is built once, and its errors are raised
-    by this call, before any pair is walked."""
-    return filtered_path_table(od, *ordered_filter(od, classes))
 
 
 def verify_tech(
@@ -440,15 +408,6 @@ def brute_row(od: OrientedGraphData, p: str) -> dict[str, Poly]:
                         f"imposed value at {v} violates the congruence along ({v},...)")
         row[v] = val
     return row
-
-
-def brute_solve_canonical(od: OrientedGraphData) -> RestrictionTable:
-    """Full table from the defining conditions alone."""
-    entries: dict[tuple[str, str], Poly] = {}
-    for p in od.graph.ids:
-        for q, val in brute_row(od, p).items():
-            entries[(p, q)] = val
-    return RestrictionTable(od, entries)
 
 
 # ---------------------------------------------------------------------------

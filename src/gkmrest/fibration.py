@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import (
     GraphFormatError,
@@ -21,12 +21,7 @@ from .errors import (
     WeightNotPreserved,
 )
 from .exact import LinFrac, Poly, Weight, linfrac_sum_to_poly
-from .canonical import (
-    PathTerm,
-    _require_index_increasing,
-    filtered_path_sum,
-    filtered_path_table,
-)
+from .canonical import PathTerm, _require_index_increasing, filtered_path_sum
 from .gkm import OrientedGraphData, magnitude, walk_paths
 
 
@@ -145,8 +140,9 @@ def check_weight_preserving(od: OrientedGraphData, tower: TowerSpec,
 def tower_filter(od: OrientedGraphData, tower: TowerSpec,
                  ) -> tuple[dict[tuple[str, str], int], Callable[[int, str], Weight]]:
     """Validate a tower against od and return its h-function and level
-    values, as filtered_path_sum takes them.  Raises GraphFormatError,
-    NoSeparatingLevel or WeightNotPreserved, in that order of checks."""
+    values, as filtered_path_sum and filtered_path_row take them.  Raises
+    GraphFormatError, NoSeparatingLevel or WeightNotPreserved, in that
+    order of checks."""
     tower.validate(od)
     h = tower_h_function(od, tower)
     check_weight_preserving(od, tower, h)
@@ -159,14 +155,6 @@ def tower_restriction(od: OrientedGraphData, tower: TowerSpec, p: str, q: str,
     separating projection and the class values are the pulled-back
     moments."""
     return filtered_path_sum(od, p, q, *tower_filter(od, tower))
-
-
-def tower_table(od: OrientedGraphData, tower: TowerSpec,
-                ) -> Iterator[tuple[tuple[str, str], Poly, list[PathTerm]]]:
-    """tower_restriction for every pair, as ((p, q), value, ledger) in
-    row-major order.  The tower is validated once, by this call, before
-    any pair is walked."""
-    return filtered_path_table(od, *tower_filter(od, tower))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ subword that is a reduced word for w contributes the product of the
 prefix-transformed simple roots at its positions.  It shares no code path
 with the graph engines, which makes it a genuine oracle for them.
 
-ENGINES maps each engine name to how it computes an entry and a table;
-engine_entry and engine_entries are the only dispatch to the engines.
+ENGINES maps each engine name to how it computes an entry and the columns
+or rows of a table; engine_entry and engine_entries are the only dispatch
+to the engines.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ from typing import Callable, Mapping, Sequence
 
 from .canonical import (
     brute_row,
-    ordered_table,
+    filtered_path_row,
+    ordered_filter,
     restriction_ordered,
-    restriction_single_form,
     single_form_column,
 )
 from .errors import GkmError, SubwordCapExceeded
 from .exact import Poly
-from .fibration import tower_restriction, tower_table
+from .fibration import tower_filter, tower_restriction
 from .gkm import OrientedGraphData
 from .orbits import (
     Orbit,
@@ -37,7 +38,6 @@ from .orbits import (
     inversion_prefix_roots,
     lexmin_reduced_word,
     typed_column,
-    typed_restriction,
     weyl_length,
 )
 
@@ -92,17 +92,14 @@ def billey_restriction(rs: RootSystem, w: SignedPerm, v: SignedPerm,
     return total
 
 
-def billey_table_entries(orbit: Orbit) -> dict[tuple[str, str], Poly]:
+def billey_column(orbit: Orbit, q: str) -> dict[str, Poly]:
+    """billey_restriction from every element of the orbit to q, keyed by
+    vertex, with one reduced word of q."""
     rs = orbit.rs
-    words = {w.word: lexmin_reduced_word(rs, w) for w in orbit.elements}
-    entries = {}
-    for wq in orbit.elements:
-        vq = orbit.vid_of[wq.word]
-        word = words[wq.word]
-        for wp in orbit.elements:
-            entries[(orbit.vid_of[wp.word], vq)] = billey_restriction(
-                rs, wp, wq, word)
-    return entries
+    wq = SignedPerm(orbit.word_of_vid[q])
+    word = lexmin_reduced_word(rs, wq)
+    return {orbit.vid_of[wp.word]: billey_restriction(rs, wp, wq, word)
+            for wp in orbit.elements}
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +109,16 @@ def billey_table_entries(orbit: Orbit) -> dict[tuple[str, str], Poly]:
 @dataclass(frozen=True)
 class Engine:
     """How one engine answers.  entry(orbit, od, p, q) gives (value,
-    ledger), the ledger being its path terms or None.  A table comes from
-    one of column(orbit, od, q) (values keyed by p), row(orbit, od, p)
-    (values keyed by q) or table(orbit, od).  orbit is None on a plain
-    graph, which orbit_only engines refuse."""
+    ledger), the ledger being its path terms or None.  slicer(orbit, od)
+    does the per-table set-up once and returns the function from a vertex
+    to its column (values keyed by p) when by_column, else to its row
+    (values keyed by q).  orbit is None on a plain graph, which
+    orbit_only engines refuse."""
 
     orbit_only: bool
     entry: Callable
-    column: Callable | None = None
-    row: Callable | None = None
-    table: Callable | None = None
+    by_column: bool
+    slicer: Callable
 
 
 def _ordered_classes(orbit: Orbit | None, od: OrientedGraphData) -> list:
@@ -135,7 +132,7 @@ def _ordered_classes(orbit: Orbit | None, od: OrientedGraphData) -> list:
 def _typed_entry(orbit: Orbit, od, p: str, q: str):
     if orbit.spec.ctype in ("A", "C"):
         return formula_AC(orbit, p, q)
-    return typed_restriction(orbit, p, q), None
+    return typed_column(orbit, q)[p], None
 
 
 def _billey_entry(orbit: Orbit, od, p: str, q: str):
@@ -143,28 +140,39 @@ def _billey_entry(orbit: Orbit, od, p: str, q: str):
                               SignedPerm(orbit.word_of_vid[q])), None
 
 
+def _billey_slicer(orbit: Orbit, od) -> Callable:
+    """Refuse at once a table whose longest element (of length the number
+    of positive roots) has more letters than the subword cap allows."""
+    longest = len(orbit.rs.positive_roots)
+    if longest > SUBWORD_CAP:
+        raise SubwordCapExceeded(
+            f"billey: the longest element has length {longest}, "
+            f"which exceeds the cap {SUBWORD_CAP}")
+    return partial(billey_column, orbit)
+
+
 # the callables look their functions up at call time, so that a tracer
 # that rebinds the module's names sees every engine call
 ENGINES: dict[str, Engine] = {
     "gz": Engine(
-        False, lambda orbit, od, p, q: (restriction_single_form(od, p, q), None),
-        column=lambda orbit, od, q: single_form_column(od, q)),
+        False, lambda orbit, od, p, q: (single_form_column(od, q)[p], None),
+        by_column=True, slicer=lambda orbit, od: partial(single_form_column, od)),
     "ordered": Engine(
         False, lambda orbit, od, p, q: restriction_ordered(
             od, p, q, _ordered_classes(orbit, od)),
-        table=lambda orbit, od: {pq: value for pq, value, _ in ordered_table(
-            od, _ordered_classes(orbit, od))}),
+        by_column=False, slicer=lambda orbit, od: partial(
+            filtered_path_row, od, *ordered_filter(od, _ordered_classes(orbit, od)))),
     "tower": Engine(
         True, lambda orbit, od, p, q: tower_restriction(od, orbit.tower(), p, q),
-        table=lambda orbit, od: {pq: value for pq, value, _ in tower_table(
-            od, orbit.tower())}),
+        by_column=False, slicer=lambda orbit, od: partial(
+            filtered_path_row, od, *tower_filter(od, orbit.tower()))),
     "typed": Engine(
-        True, _typed_entry, column=lambda orbit, od, q: typed_column(orbit, q)),
+        True, _typed_entry,
+        by_column=True, slicer=lambda orbit, od: partial(typed_column, orbit)),
     "brute": Engine(
         False, lambda orbit, od, p, q: (brute_row(od, p)[q], None),
-        row=lambda orbit, od, p: brute_row(od, p)),
-    "billey": Engine(
-        True, _billey_entry, table=lambda orbit, od: billey_table_entries(orbit)),
+        by_column=False, slicer=lambda orbit, od: partial(brute_row, od)),
+    "billey": Engine(True, _billey_entry, by_column=True, slicer=_billey_slicer),
 }
 
 
@@ -189,16 +197,15 @@ def engine_entry(target, engine: str, p: str, q: str) -> tuple[Poly, list | None
 
 
 def engine_entries(target, engine: str, jobs: int = 1) -> dict[tuple[str, str], Poly]:
-    """Full table of one engine on an Orbit or OrientedGraphData.  Columns
-    or rows are computed in min(jobs, vertices) forked workers when that is
-    more than one; the result does not depend on jobs."""
+    """Full table of one engine on an Orbit or OrientedGraphData.  The
+    engine's slicer does the per-table set-up once, in this process; the
+    columns or rows are then computed in min(jobs, vertices) forked workers
+    when that is more than one.  The result does not depend on jobs."""
     record, orbit, od = _resolve(target, engine)
     if jobs < 1:
         raise GkmError(f"jobs must be at least 1, got {jobs}")
-    if record.table is not None:
-        return record.table(orbit, od)
-    by_column = record.column is not None
-    part = partial(record.column if by_column else record.row, orbit, od)
+    part = record.slicer(orbit, od)
+    by_column = record.by_column
     ids = od.graph.ids
     workers = min(jobs, len(ids))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
@@ -289,10 +296,13 @@ def available_engines(target) -> list[str]:
 
 def cross_validate(target, engines: Sequence[str] | None = None,
                    jobs: int = 1) -> CrossReport:
-    """Run several engines over every pair and compare exactly; column and
-    row engines use `jobs` workers (see engine_entries)."""
+    """Run two or more distinct engines over every pair and compare
+    exactly, each table in `jobs` workers (see engine_entries)."""
     if engines is None:
         engines = available_engines(target)
+    if len(engines) < 2 or len(set(engines)) < len(engines):
+        raise GkmError("compare needs two or more distinct engines, "
+                       f"got {','.join(engines)!r}")
     ods = [_resolve(target, e)[2] for e in engines]  # every name checked before any run
     tables = {e: engine_entries(target, e, jobs=jobs) for e in engines}
     return compare_tables(tables, ods[0].graph.ids)

@@ -22,7 +22,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
-from .canonical import PathTerm
+from .canonical import PathTerm, RestrictionTable
 from .errors import GraphFormatError, ThetaNotOne
 from .exact import LinFrac, Poly, Weight, format_scalar, linfrac_sum_to_poly, pair
 from .fibration import (
@@ -900,11 +900,6 @@ def typed_column(orbit: Orbit, q) -> dict[str, Poly]:
     return orbit.column(orbit.vertex(q))
 
 
-def typed_restriction(orbit: Orbit, p, q) -> Poly:
-    """alpha_p(q) by the engine matching the orbit's type."""
-    return typed_column(orbit, q)[orbit.vertex(p)]
-
-
 def _rank1_b_column(orbit: Orbit, q_vid: str) -> dict[str, Poly]:
     """Two fixed points: the lower class restricts to one everywhere, the
     upper class to its own weight at the top and zero below."""
@@ -1019,12 +1014,7 @@ def pairing_check(orbit: Orbit, s) -> dict:
     return report
 
 
-def typed_table(orbit: Orbit):
+def typed_table(orbit: Orbit) -> RestrictionTable:
     """Full restriction table via the orbit's type-specific engine."""
-    from .canonical import RestrictionTable
-    entries = {}
-    for q in orbit.od.graph.ids:
-        col = typed_column(orbit, q)
-        for p_vid, val in col.items():
-            entries[(p_vid, q)] = val
-    return RestrictionTable(orbit.od, entries)
+    from .oracle import engine_entries
+    return RestrictionTable(orbit.od, engine_entries(orbit, "typed"))

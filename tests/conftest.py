@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from gkmrest.canonical import RestrictionTable
 from gkmrest.exact import Weight
 from gkmrest.gkm import GkmGraph, OrientedGraphData
+from gkmrest.oracle import engine_entries
 
 
 def projective_space_graph(n: int) -> GkmGraph:
@@ -26,6 +28,13 @@ def projective_space_graph(n: int) -> GkmGraph:
             w[i], w[j] = 1, -1
             edges.append((f"p{i + 1}", f"p{j + 1}", Weight(w)))
     return GkmGraph(m, vertices, edges)
+
+
+def restriction_table(target, engine: str = "gz") -> RestrictionTable:
+    """The full table of one engine on an Orbit or OrientedGraphData,
+    through the engine registry."""
+    od = target if isinstance(target, OrientedGraphData) else target.od
+    return RestrictionTable(od, engine_entries(target, engine))
 
 
 @pytest.fixture

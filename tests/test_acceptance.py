@@ -13,16 +13,14 @@ from fractions import Fraction
 
 from gkmrest.canonical import (
     RestrictionTable,
-    brute_solve_canonical,
     certify_table,
     restriction_ordered,
-    restriction_single_form,
     restriction_vertex_classes,
-    table_single_form,
+    single_form_column,
 )
 from gkmrest.exact import Poly, parse_poly
 from gkmrest.fibration import tower_restriction
-from gkmrest.oracle import billey_table_entries, compare_tables
+from gkmrest.oracle import compare_tables, engine_entries
 from gkmrest.orbits import (
     Orbit,
     OrbitSpec,
@@ -31,9 +29,12 @@ from gkmrest.orbits import (
     formula_AC,
     pairing_check,
     relevant_path_terms,
-    typed_restriction,
+    typed_column,
     typed_table,
 )
+
+from conftest import restriction_table
+
 
 INSTANCES = (("A", 1), ("A", 2), ("A", 3), ("C", 2), ("C", 3),
              ("B", 2), ("B", 3), ("D", 4))
@@ -54,8 +55,8 @@ def _tables(ctype, rank) -> dict[str, RestrictionTable]:
         orbit = entry["orbit"]
         entry["tables"] = {
             "typed": typed_table(orbit),
-            "brute": brute_solve_canonical(orbit.od),
-            "gz": table_single_form(orbit.od),
+            "brute": restriction_table(orbit.od, "brute"),
+            "gz": restriction_table(orbit.od),
         }
     return entry["tables"]
 
@@ -68,9 +69,9 @@ def test_criterion_1_worked_example_all_engines():
     p, q = "-2,1", "2,1"
     expected = parse_poly("x1 + x2", 2)
     got = {
-        "gz": restriction_single_form(orbit.od, p, q),
-        "typed": typed_restriction(orbit, p, q),
-        "brute": brute_solve_canonical(orbit.od).get(p, q),
+        "gz": single_form_column(orbit.od, q)[p],
+        "typed": typed_column(orbit, q)[p],
+        "brute": restriction_table(orbit.od, "brute").get(p, q),
         "ordered": restriction_ordered(
             orbit.od, p, q, [lvl.moment for lvl in orbit.tower().levels])[0],
     }
@@ -106,7 +107,7 @@ def test_criterion_3_subword_oracle_equality():
     for ctype, rank in (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2)):
         orbit = _orbit(ctype, rank)
         table = _tables(ctype, rank)["gz"]
-        for entry, val in billey_table_entries(orbit).items():
+        for entry, val in engine_entries(orbit, "billey").items():
             assert val == table.entries[entry], (ctype, rank, entry)
             checked += 1
     print(f"\nACCEPTANCE 3 PASS: subword oracle matches on {checked} pairs")

@@ -8,13 +8,11 @@ import pytest
 from gkmrest.canonical import (
     adjacent_restriction,
     brute_row,
-    brute_solve_canonical,
     certify_table,
     restriction_ordered,
-    restriction_single_form,
     restriction_vertex_classes,
+    single_form_column,
     structure_constants,
-    table_single_form,
     verify_tech,
     RestrictionTable,
 )
@@ -22,7 +20,7 @@ from gkmrest.errors import GraphFormatError, NoSolution
 from gkmrest.exact import Poly, Weight, parse_poly
 from gkmrest.gkm import GkmGraph, OrientedGraphData
 
-from conftest import projective_space_graph
+from conftest import projective_space_graph, restriction_table
 
 
 def moment_classes(od):
@@ -77,15 +75,15 @@ class TestSingleForm:
     def test_diagonal(self, cp2_oriented):
         od = cp2_oriented
         for p in od.graph.ids:
-            assert restriction_single_form(od, p, p) == od.lambda_minus(p)
+            assert single_form_column(od, p)[p] == od.lambda_minus(p)
 
     def test_lower_index_zero(self, cp2_oriented):
-        assert restriction_single_form(cp2_oriented, "p3", "p1").is_zero()
-        assert restriction_single_form(cp2_oriented, "p2", "p1").is_zero()
+        assert single_form_column(cp2_oriented, "p1")["p3"].is_zero()
+        assert single_form_column(cp2_oriented, "p1")["p2"].is_zero()
 
     def test_cp2_table(self, cp2_oriented):
         od = cp2_oriented
-        tab = table_single_form(od)
+        tab = restriction_table(od)
         one = Poly.const(3, 1)
         assert tab.get("p1", "p1") == one
         assert tab.get("p1", "p2") == one
@@ -98,32 +96,32 @@ class TestSingleForm:
         edges = [("u", "v", Weight((1, 0))), ("v", "w", Weight((1, 0)))]
         od = OrientedGraphData(GkmGraph(2, verts, edges), Weight((1, 1)))
         with pytest.raises(GraphFormatError):
-            restriction_single_form(od, "u", "w")
+            single_form_column(od, "w")["u"]
 
 
 class TestBrute:
     def test_cp1_matches_adjacent(self, cp1_oriented):
         od = cp1_oriented
-        tab = brute_solve_canonical(od)
+        tab = restriction_table(od, "brute")
         assert tab.get("p1", "p2") == adjacent_restriction(od, "p1", "p2")
         assert tab.get("p1", "p1") == Poly.const(2, 1)
 
     def test_diagonal_is_downward_product(self, cp2_oriented, square_od):
         for od in (cp2_oriented, square_od):
-            tab = brute_solve_canonical(od)
+            tab = restriction_table(od, "brute")
             for p in od.graph.ids:
                 assert tab.get(p, p) == od.lambda_minus(p)
 
     def test_agrees_with_single_form(self, cp2_oriented, square_od):
         for od in (cp2_oriented, square_od):
-            brute = brute_solve_canonical(od)
-            dp = table_single_form(od)
+            brute = restriction_table(od, "brute")
+            dp = restriction_table(od)
             assert brute.entries == dp.entries
 
     def test_cp3_agreement(self):
         g = projective_space_graph(3)
         od = OrientedGraphData(g, Weight((8, 4, 2, 1)))
-        assert brute_solve_canonical(od).entries == table_single_form(od).entries
+        assert restriction_table(od, "brute").entries == restriction_table(od).entries
 
     def test_detects_corrupt_input(self):
         # v and w share index 1 with an ascending edge between them, so the
@@ -187,7 +185,7 @@ class TestBrute:
 class TestVertexClassSum:
     def test_two_path_sum_matches_brute_on_cp2(self, cp2_oriented):
         od = cp2_oriented
-        brute = brute_solve_canonical(od)
+        brute = restriction_table(od, "brute")
         for p in od.graph.ids:
             for q in od.graph.ids:
                 got, _ = restriction_vertex_classes(od, p, q, moment_per_vertex(od))
@@ -210,10 +208,10 @@ class TestWeightClassAssignment:
         per_vertex = {v: w for v in od.graph.ids}
         for p in od.graph.ids:
             for q in od.graph.ids:
-                expect = restriction_single_form(od, p, q)
+                expect = single_form_column(od, q)[p]
                 assert restriction_ordered(od, p, q, ordered)[0] == expect
                 assert restriction_vertex_classes(od, p, q, per_vertex)[0] == expect
-        assert verify_tech(od, ordered, table_single_form(od))
+        assert verify_tech(od, ordered, restriction_table(od))
 
 
 class TestOrdered:
@@ -223,18 +221,18 @@ class TestOrdered:
             for p in od.graph.ids:
                 for q in od.graph.ids:
                     got, ledger = restriction_ordered(od, p, q, classes)
-                    assert got == restriction_single_form(od, p, q)
+                    assert got == single_form_column(od, q)[p]
         # with one class every path is monotone, so the ledger is all of
         # Sigma(p, q)
 
     def test_tech_holds_for_moment(self, cp2_oriented):
         od = cp2_oriented
-        tab = table_single_form(od)
+        tab = restriction_table(od)
         assert verify_tech(od, moment_classes(od), tab)
 
     def test_tech_fails_for_reversed_moment(self, cp2_oriented):
         od = cp2_oriented
-        tab = table_single_form(od)
+        tab = restriction_table(od)
         reversed_moment = {v: -od.graph.moment[v] for v in od.graph.ids}
         assert not verify_tech(od, [reversed_moment], tab)
 
@@ -242,12 +240,12 @@ class TestOrdered:
 class TestCertify:
     def test_pass_on_computed_tables(self, cp2_oriented, square_od):
         for od in (cp2_oriented, square_od):
-            cert = certify_table(od, table_single_form(od))
+            cert = certify_table(od, restriction_table(od))
             assert cert.ok, str(cert)
 
     def test_detects_injected_fault(self, cp2_oriented):
         od = cp2_oriented
-        tab = table_single_form(od)
+        tab = restriction_table(od)
         bad = dict(tab.entries)
         bad[("p2", "p3")] = bad[("p2", "p3")] + Poly.const(3, 1)
         cert = certify_table(od, RestrictionTable(od, bad))
@@ -259,7 +257,7 @@ class TestCertify:
         # are those of subtracting the two entries on every edge.
         from gkmrest.orbits import Orbit, OrbitSpec
         od = Orbit(OrbitSpec("A", 3)).od
-        tab = table_single_form(od)
+        tab = restriction_table(od)
         p, a, b = "-2,-3,6,-1", "-1,-2,-3,6", "-1,-2,6,-3"
         assert od.graph.has_edge(a, b) and tab.get(p, a).is_zero()
         bad = dict(tab.entries)
@@ -279,7 +277,7 @@ class TestCertify:
 
     def test_minimum_row_is_all_ones(self, cp2_oriented):
         od = cp2_oriented
-        tab = table_single_form(od)
+        tab = restriction_table(od)
         for q in od.graph.ids:
             assert tab.get("p1", q) == Poly.const(3, 1)
 
@@ -287,14 +285,14 @@ class TestCertify:
 class TestStructureConstants:
     def test_minimum_gives_delta(self, cp2_oriented):
         od = cp2_oriented
-        tab = table_single_form(od)
+        tab = restriction_table(od)
         c = structure_constants(od, tab, "p1", "p2")
         assert c["p2"] == Poly.const(3, 1)
         assert c["p1"].is_zero() and c["p3"].is_zero()
 
     def test_cp2_square_of_middle(self, cp2_oriented):
         od = cp2_oriented
-        tab = table_single_form(od)
+        tab = restriction_table(od)
         c = structure_constants(od, tab, "p2", "p2")
         # forced by evaluating alpha_{p2}^2 = sum_r c^r alpha_r at the
         # fixed points in increasing phi order
@@ -304,7 +302,7 @@ class TestStructureConstants:
 
     def test_expansion_identity(self, square_od):
         od = square_od
-        tab = table_single_form(od)
+        tab = restriction_table(od)
         ids = od.graph.ids
         for p in ids:
             for q in ids:
@@ -318,7 +316,7 @@ class TestStructureConstants:
 
     def test_degree_bound(self, cp2_oriented):
         od = cp2_oriented
-        tab = table_single_form(od)
+        tab = restriction_table(od)
         c = structure_constants(od, tab, "p2", "p3")
         for r, poly in c.items():
             if not poly.is_zero():
@@ -338,8 +336,8 @@ class TestTwistedEdgeScalar:
                  ("s", "r", Weight((1, k + 1))), ("r", "q", Weight((1, 0)))]
         od = OrientedGraphData(GkmGraph(2, verts, edges), Weight((1, 1)))
         assert od.theta("p", "q") == k
-        gz = table_single_form(od)
-        assert gz.entries == brute_solve_canonical(od).entries
+        gz = restriction_table(od)
+        assert gz.entries == restriction_table(od, "brute").entries
         classes = [dict(od.graph.moment)]
         for a in od.graph.ids:
             for b in od.graph.ids:
@@ -356,8 +354,8 @@ class TestProductGraphs:
         g = product_of_projective_spaces(*dims)
         assert validate_gkm(g).ok
         od = OrientedGraphData(g, choose_generic_xi(g))
-        gz = table_single_form(od)
-        br = brute_solve_canonical(od)
+        gz = restriction_table(od)
+        br = restriction_table(od, "brute")
         assert gz.entries == br.entries
         cert = certify_table(od, gz)
         assert cert.ok, str(cert)
@@ -375,7 +373,7 @@ class TestVanishing:
     def test_zero_without_ascending_path(self, cp2_oriented, square_od):
         from gkmrest.gkm import enumerate_paths
         for od in (cp2_oriented, square_od):
-            tab = table_single_form(od)
+            tab = restriction_table(od)
             for p in od.graph.ids:
                 for q in od.graph.ids:
                     if p != q and not enumerate_paths(od, p, q):
@@ -384,20 +382,20 @@ class TestVanishing:
 
 class TestTableSerialization:
     def test_json_keys(self, cp2_oriented):
-        tab = table_single_form(cp2_oriented)
+        tab = restriction_table(cp2_oriented)
         data = tab.to_json()
         assert "p1|p3" in data
         assert data["p2|p3"] == parse_poly("x1 - x3", 3).to_json()
 
     def test_csv_has_flags(self, cp2_oriented):
-        csv = table_single_form(cp2_oriented).to_csv()
+        csv = restriction_table(cp2_oriented).to_csv()
         assert csv.splitlines()[0].startswith("p,q,lam_p")
         assert "true" in csv
 
     @pytest.mark.parametrize("ctype", ["A", "B", "C"])
     def test_json_chunks_match_json_dumps_on_orbits(self, ctype):
         from gkmrest.orbits import Orbit, OrbitSpec
-        tab = table_single_form(Orbit(OrbitSpec(ctype, 3)).od)
+        tab = restriction_table(Orbit(OrbitSpec(ctype, 3)).od)
         assert "".join(tab.json_chunks()) == json.dumps(tab.to_json(), sort_keys=True)
 
     def test_json_chunks_escape_ids_and_write_fractions(self):

@@ -8,9 +8,9 @@ import pytest
 from gkmrest.cli import main
 from gkmrest.exact import Poly, parse_poly
 from gkmrest.gkm import GkmGraph, validate_gkm
-from gkmrest.oracle import engine_entries
+from gkmrest.oracle import ENGINES, engine_entries
 
-from conftest import product_of_projective_spaces, projective_space_graph
+from conftest import product_of_projective_spaces, projective_space_graph, restriction_table
 
 
 @pytest.fixture
@@ -40,15 +40,25 @@ def run(capsys, *argv):
 @pytest.fixture
 def pools(monkeypatch):
     """Replace the fork context with one whose pools run in this process
-    and record their size and the slice function they were given."""
+    and record their size and the engine whose slices they were given."""
+    import dataclasses
     import multiprocessing
 
     import gkmrest.oracle as oracle
     log = []
+    engine_of = {}
+
+    for name, rec in list(oracle.ENGINES.items()):
+        def slicer(orbit, od, name=name, inner=rec.slicer):
+            part = inner(orbit, od)
+            engine_of[id(part)] = name
+            return part
+
+        monkeypatch.setitem(oracle.ENGINES, name, dataclasses.replace(rec, slicer=slicer))
 
     class FakePool:
         def __init__(self, processes, initializer, initargs):
-            log.append({"processes": processes, "part": initargs[0]})
+            log.append({"processes": processes, "engine": engine_of[id(initargs[0])]})
             initializer(*initargs)
 
         def __enter__(self):
@@ -70,9 +80,7 @@ def pools(monkeypatch):
 
 
 def pooled_engines(log):
-    from gkmrest.oracle import ENGINES
-    return [next(name for name, rec in ENGINES.items()
-                 if entry["part"].func in (rec.column, rec.row)) for entry in log]
+    return [entry["engine"] for entry in log]
 
 
 class TestValidate:
@@ -193,7 +201,6 @@ class TestRestrict:
         """restrict --engine brute solves only the row of p, and gives the
         entry of the full brute table."""
         import gkmrest.oracle as oracle
-        from gkmrest.canonical import brute_solve_canonical
         from gkmrest.orbits import Orbit, OrbitSpec
         calls = []
         original = oracle.brute_row
@@ -205,7 +212,7 @@ class TestRestrict:
         monkeypatch.setattr(oracle, "brute_row", counting)
         for ctype, rank in (("B", 2), ("A", 3)):
             orbit = Orbit(OrbitSpec(ctype, rank))
-            table = brute_solve_canonical(orbit.od)
+            table = restriction_table(orbit.od, "brute")
             ids = orbit.od.graph.ids
             for p, q in ((ids[0], ids[-1]), (ids[1], ids[-2]), (ids[2], ids[2])):
                 calls.clear()
@@ -253,13 +260,29 @@ class TestTable:
         """A2 has 6 vertices, so 6 columns: --jobs 500 asks for 6 workers."""
         _, serial = run(capsys, "table", "--type", "A", "--rank", "2")
         assert pools == []
-        for engine in ("gz", "typed", "brute"):
+        for engine in ENGINES:
             pools.clear()
             code, out = run(capsys, "table", "--type", "A", "--rank", "2",
                             "--engine", engine, "--jobs", "500")
             assert code == 0 and out == serial
             assert [e["processes"] for e in pools] == [6]
             assert pooled_engines(pools) == [engine]
+
+    def test_billey_above_the_subword_cap_exits_2_at_once(self, capsys, monkeypatch):
+        """The longest element of B4 has length 16 > 12, so the billey
+        table is refused before any subword sum is taken."""
+        import gkmrest.oracle as oracle
+
+        def never(*args, **kwargs):
+            raise AssertionError("billey_restriction was called")
+
+        monkeypatch.setattr(oracle, "billey_restriction", never)
+        code = main(["table", "--type", "B", "--rank", "4", "--engine", "billey"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "billey" in captured.err and "16" in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("command", ["table", "compare"])
     @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -371,6 +394,14 @@ class TestCompare:
         assert code == 2
         assert "nope" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("engines", ["gz", "gz,gz", "gz,brute,gz"])
+    def test_fewer_than_two_distinct_engines_exit_2(self, capsys, engines):
+        code = main(["compare", "--type", "A", "--rank", "2", "--engines", engines])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"'{engines}'" in captured.err and "Traceback" not in captured.err
+
     def test_jobs_run_tables_in_the_pool(self, capsys, pools):
         argv = ("compare", "--type", "A", "--rank", "2", "--format", "json")
         code, serial = run(capsys, *argv, "--jobs", "1")
@@ -378,8 +409,9 @@ class TestCompare:
         code, parallel = run(capsys, *argv, "--jobs", "2")
         assert code == 0
         assert parallel == serial
-        assert pooled_engines(pools) == ["gz", "typed", "brute"]
-        assert [e["processes"] for e in pools] == [2, 2, 2]
+        assert pooled_engines(pools) == ["gz", "typed", "brute", "ordered", "tower",
+                                         "billey"]
+        assert [e["processes"] for e in pools] == [2] * 6
 
     def test_json_format(self, capsys):
         code, out = run(capsys, "compare", "--type", "C", "--rank", "2",

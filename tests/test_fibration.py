@@ -5,11 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gkmrest.canonical import (
-    restriction_single_form,
-    restriction_vertex_classes,
-    table_single_form,
-)
+from gkmrest.canonical import restriction_vertex_classes, single_form_column
 from gkmrest.errors import (
     GraphFormatError,
     WeightNotPreserved,
@@ -30,6 +26,8 @@ from gkmrest.fibration import (
 )
 
 from gkmrest.orbits import Orbit, OrbitSpec, classify_base_path
+
+from conftest import restriction_table
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +85,7 @@ class TestTowerRestriction:
         for p in ids:
             for q in ids:
                 val, _ = tower_restriction(a2.od, tw, p, q)
-                assert val == restriction_single_form(a2.od, p, q)
+                assert val == single_form_column(a2.od, q)[p]
 
     def test_su3_flag_tower_values_and_reduction(self, a2):
         """The rank-two flag orbit presented through its tower: same
@@ -99,7 +97,7 @@ class TestTowerRestriction:
         for p in ids:
             for q in ids:
                 val, ledger = tower_restriction(a2.od, tw, p, q)
-                assert val == restriction_single_form(a2.od, p, q)
+                assert val == single_form_column(a2.od, q)[p]
                 _, full = restriction_vertex_classes(
                     a2.od, p, q, {v: moment for v in ids})
                 assert len(ledger) <= len(full)
@@ -139,7 +137,7 @@ class TestTowerRestriction:
         from gkmrest.canonical import restriction_ordered
         for orbit in (a2, b2):
             classes = [lvl.moment for lvl in orbit.tower().levels]
-            gz = table_single_form(orbit.od)
+            gz = restriction_table(orbit.od)
             ids = orbit.od.graph.ids
             for perm in itertools.permutations(range(len(classes))):
                 shuffled = [classes[i] for i in perm]
@@ -152,7 +150,7 @@ class TestTowerRestriction:
         from gkmrest.canonical import verify_tech
         for orbit in (a2, b2):
             classes = [lvl.moment for lvl in orbit.tower().levels]
-            table = table_single_form(orbit.od)
+            table = restriction_table(orbit.od)
             assert verify_tech(orbit.od, classes, table)
 
     def test_monotone_filter_matches_vertex_class_zeros(self, a2):
@@ -172,7 +170,7 @@ class TestTowerRestriction:
                 class_of[v] = tw.levels[(level or len(tw)) - 1].moment
             for p in ids:
                 total, ledger = restriction_vertex_classes(a2.od, p, q, class_of)
-                assert total == restriction_single_form(a2.od, p, q)
+                assert total == single_form_column(a2.od, q)[p]
                 for term in ledger:
                     levels = [h_edge[(a, b)]
                               for a, b in zip(term.path, term.path[1:])]
@@ -292,7 +290,7 @@ class TestFiberDecomposition:
         # product; the base paths then rebuild alpha_p(q) on their own
         od = a2.od
         fib = FibrationSpec(od, {v: v for v in od.graph.ids})
-        gz = table_single_form(od)
+        gz = restriction_table(od)
         for p in od.graph.ids:
             for q in od.graph.ids:
                 fiber_table = {q: Poly.const(od.rank, 1)}
@@ -312,7 +310,7 @@ class TestFiberDecomposition:
         fiber data via the same dynamic program."""
         fib = a2.base_fibration()
         od = a2.od
-        gz = table_single_form(od)
+        gz = restriction_table(od)
         # fiber tables: for target q, alpha-hat_s(q) on the fiber through q;
         # the fiber is a two-point orbit, so the values are 1, 0, or the
         # fiber weight

@@ -4,14 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from gkmrest.canonical import table_single_form
 from gkmrest.errors import GkmError, SubwordCapExceeded
 from gkmrest.exact import Poly, Weight, parse_poly
 from gkmrest.oracle import (
     ENGINES,
     available_engines,
     billey_restriction,
-    billey_table_entries,
     compare_tables,
     cross_validate,
     engine_entries,
@@ -26,6 +24,8 @@ from gkmrest.orbits import (
     lexmin_reduced_word,
     reduced_words,
 )
+
+from conftest import restriction_table
 
 
 @pytest.fixture(scope="module")
@@ -97,14 +97,14 @@ class TestBilley:
                            for cf in expanded.terms.values())
 
     def test_oracle_equality_small(self, a2):
-        gz = table_single_form(a2.od)
-        for entry, val in billey_table_entries(a2).items():
+        gz = restriction_table(a2.od)
+        for entry, val in engine_entries(a2, "billey").items():
             assert val == gz.entries[entry]
 
     def test_oracle_equality_rank3_even_orthogonal(self):
         orbit = Orbit(OrbitSpec("D", 3))
-        gz = table_single_form(orbit.od)
-        for entry, val in billey_table_entries(orbit).items():
+        gz = restriction_table(orbit.od)
+        for entry, val in engine_entries(orbit, "billey").items():
             assert val == gz.entries[entry]
 
     def test_cap(self):
@@ -165,6 +165,15 @@ class TestRegistry:
     def test_entry_matches_table_on_graph(self, cp2_oriented, engine):
         ledgers = self._check_parity(cp2_oriented, cp2_oriented, engine)
         assert ledgers == {engine == "ordered"}
+
+    @pytest.mark.parametrize("engine", list(ENGINES))
+    def test_jobs_give_the_serial_table_on_orbits(self, a2, engine):
+        assert engine_entries(a2, engine, jobs=2) == engine_entries(a2, engine, jobs=1)
+
+    @pytest.mark.parametrize("engine", ["gz", "ordered", "brute"])
+    def test_jobs_give_the_serial_table_on_graph(self, cp2_oriented, engine):
+        assert (engine_entries(cp2_oriented, engine, jobs=2)
+                == engine_entries(cp2_oriented, engine, jobs=1))
 
     def test_engine_choices_are_the_registry(self):
         import argparse

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from gkmrest.canonical import brute_solve_canonical, table_single_form
 from gkmrest.errors import GraphFormatError, ThetaNotOne
 from gkmrest.exact import Weight, pair, parse_poly
 from gkmrest.fibration import horizontal_paths
@@ -28,10 +27,12 @@ from gkmrest.orbits import (
     reduced_words,
     reflection_word_endpoint,
     relevant_path_terms,
-    typed_restriction,
+    typed_column,
     typed_table,
     weyl_length,
 )
+
+from conftest import restriction_table
 
 
 @pytest.fixture(scope="module")
@@ -225,8 +226,8 @@ class TestTypedAC:
             assert val == a2.od.lambda_minus(a2.vid_of[w.word])
 
     def test_a2_table_matches_oracles(self, a2):
-        gz = table_single_form(a2.od)
-        br = brute_solve_canonical(a2.od)
+        gz = restriction_table(a2.od)
+        br = restriction_table(a2.od, "brute")
         for wp in a2.elements:
             for wq in a2.elements:
                 val, _ = formula_AC(a2, wp, wq)
@@ -234,7 +235,7 @@ class TestTypedAC:
                 assert val == gz.get(p, q) == br.get(p, q)
 
     def test_c2_table_and_certificates(self, c2):
-        br = brute_solve_canonical(c2.od)
+        br = restriction_table(c2.od, "brute")
         for wp in c2.elements:
             for wq in c2.elements:
                 val, ledger = formula_AC(c2, wp, wq)
@@ -355,10 +356,10 @@ class TestLiftAndClassify:
 
 class TestTypedBD:
     def test_b2_worked_example_value(self, b2):
-        assert typed_restriction(b2, "-2,1", "2,1") == parse_poly("x1 + x2", 2)
+        assert typed_column(b2, "2,1")["-2,1"] == parse_poly("x1 + x2", 2)
 
     def test_b2_full_table(self, b2):
-        br = brute_solve_canonical(b2.od)
+        br = restriction_table(b2.od, "brute")
         tt = typed_table(b2)
         assert tt.entries == br.entries
 
@@ -372,15 +373,15 @@ class TestTypedBD:
 
     def test_d3_routes_through_a3(self):
         orbit = Orbit(OrbitSpec("D", 3))
-        gz = table_single_form(orbit.od)
+        gz = restriction_table(orbit.od)
         for p in orbit.od.graph.ids:
             for q in orbit.od.graph.ids:
-                assert typed_restriction(orbit, p, q) == gz.get(p, q)
+                assert typed_column(orbit, q)[p] == gz.get(p, q)
 
     def test_d_rank2_rejected(self):
         orbit = Orbit(OrbitSpec("D", 2))
         with pytest.raises(GraphFormatError):
-            typed_restriction(orbit, orbit.od.graph.ids[0], orbit.od.graph.ids[0])
+            typed_column(orbit, orbit.od.graph.ids[0])
 
     @pytest.mark.parametrize("ctype,rank,calls", [("B", 3, 320), ("D", 4, 1536)])
     def test_paired_sums_walk_each_source_and_base_vertex_once(
@@ -412,7 +413,7 @@ class TestTypedBD:
         for p, q in pairs:
             if p not in rows:
                 rows[p] = brute_row(orbit.od, p)
-            assert typed_restriction(orbit, p, q) == rows[p][q]
+            assert typed_column(orbit, q)[p] == rows[p][q]
 
 
 class TestPairing:

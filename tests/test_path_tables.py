@@ -1,15 +1,13 @@
-"""Tests of the filtered path-sum tables: the table functions against the
-single-pair entry points, reachability pruning in the walker, error
-parity, and that each filter is built once per table."""
+"""Tests of the filtered path-sum tables: the registry's ordered and tower
+tables against the single-pair entry points, reachability pruning in the
+walker, error parity of the filters, and that each filter is built once
+per table."""
 
 import pytest
 
 import gkmrest.fibration as fibration
-from gkmrest.canonical import (
-    ordered_table,
-    restriction_ordered,
-    restriction_single_form,
-)
+import gkmrest.canonical as canonical
+from gkmrest.canonical import ordered_filter, restriction_ordered, single_form_column
 from gkmrest.errors import (
     GraphFormatError,
     NoSeparatingClass,
@@ -21,9 +19,9 @@ from gkmrest.exact import Weight
 from gkmrest.fibration import (
     TowerLevel,
     TowerSpec,
+    tower_filter,
     tower_h_function,
     tower_restriction,
-    tower_table,
 )
 from gkmrest.gkm import GkmGraph, OrientedGraphData
 from gkmrest.oracle import engine_entries
@@ -63,10 +61,6 @@ def cube_od() -> OrientedGraphData:
     return OrientedGraphData(GkmGraph(3, verts, edges), Weight((1, 2, 4)))
 
 
-def ledger_key(ledger):
-    return [(t.path, t.value, t.levels) for t in ledger]
-
-
 def tower_classes(orbit):
     return [lvl.moment for lvl in orbit.tower().levels]
 
@@ -96,30 +90,28 @@ class TestTableMatchesSinglePair:
     """Every row on A3, every fourth on CP1^4 and every eighth on B3, to
     keep the single-pair side (one filter build per pair) short."""
 
-    def check(self, rows, single, ids, step=1):
-        rows = list(rows)
-        assert [pq for pq, _, _ in rows] == [(p, q) for p in ids for q in ids]
+    def check(self, entries, single, ids, step=1):
+        assert list(entries) == [(p, q) for p in ids for q in ids]
         sampled = set(ids[::step])
-        for (p, q), value, ledger in rows:
+        for (p, q), value in entries.items():
             if p in sampled:
-                want, want_ledger = single(p, q)
-                assert value == want
-                assert ledger_key(ledger) == ledger_key(want_ledger)
+                assert value == single(p, q)[0]
 
     def test_ordered(self, a3, b3):
         graph = product_of_projective_spaces(1, 1, 1, 1)
         cp1_4 = OrientedGraphData(graph, Weight([1, 2, 4, 8, 16, 32, 64, 128]))
-        for od, classes, step in ((a3.od, tower_classes(a3), 1),
-                                  (b3.od, tower_classes(b3), 8),
-                                  (cp1_4, [dict(cp1_4.graph.moment)], 4)):
-            self.check(ordered_table(od, classes),
+        for target, od, classes, step in (
+                (a3, a3.od, tower_classes(a3), 1),
+                (b3, b3.od, tower_classes(b3), 8),
+                (cp1_4, cp1_4, [dict(cp1_4.graph.moment)], 4)):
+            self.check(engine_entries(target, "ordered"),
                        lambda p, q: restriction_ordered(od, p, q, classes),
                        od.graph.ids, step)
 
     def test_tower(self, a3, b3):
         for orbit, step in ((a3, 1), (b3, 8)):
             od, tower = orbit.od, orbit.tower()
-            self.check(tower_table(od, tower),
+            self.check(engine_entries(orbit, "tower"),
                        lambda p, q: tower_restriction(od, tower, p, q),
                        od.graph.ids, step)
 
@@ -145,7 +137,7 @@ class TestPruning:
         assert od.phi["110"] < od.phi["001"]
         classes = [self.moment_with(od, "110", "001")]
         value, ledger = restriction_ordered(od, "000", "001", classes)
-        assert value == restriction_single_form(od, "000", "001")
+        assert value == single_form_column(od, "001")["000"]
         assert [t.path for t in ledger] == [("000", "001")]
 
     def test_unreachable_target_is_zero_with_empty_ledger(self):
@@ -180,9 +172,10 @@ class TestErrorParity:
         for exc_type, bad in self.bad_towers(a2):
             with pytest.raises(exc_type) as single:
                 tower_restriction(a2.od, bad, ids[0], ids[-1])
-            # raised by the call itself, before any pair is walked
+            # raised by the filter the tower slicer builds, before any
+            # pair is walked
             with pytest.raises(exc_type) as table:
-                tower_table(a2.od, bad)
+                tower_filter(a2.od, bad)
             assert str(table.value) == str(single.value)
 
     def test_no_separating_level_from_h_function(self, a2):
@@ -200,7 +193,7 @@ class TestErrorParity:
         with pytest.raises(NoSeparatingClass) as single:
             restriction_ordered(a2.od, ids[0], ids[-1], [flat])
         with pytest.raises(NoSeparatingClass) as table:
-            ordered_table(a2.od, [flat])
+            ordered_filter(a2.od, [flat])
         assert str(table.value) == str(single.value)
 
 
@@ -215,5 +208,19 @@ class TestFilterBuiltOnce:
 
         monkeypatch.setattr(fibration, "check_weight_preserving", counting)
         entries = engine_entries(a3, "tower")
+        assert len(entries) == len(a3.elements) ** 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_h_function_built_once_per_ordered_table(self, a3, monkeypatch, jobs):
+        calls = []
+        original = canonical.build_h_function
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(canonical, "build_h_function", counting)
+        entries = engine_entries(a3, "ordered", jobs=jobs)
         assert len(entries) == len(a3.elements) ** 2
         assert len(calls) == 1

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from gkmrest.canonical import brute_solve_canonical, single_form_column, table_single_form
+from gkmrest.canonical import single_form_column
 from gkmrest.exact import Poly
 from gkmrest.orbits import Orbit, OrbitSpec, typed_column, typed_table
+
+from conftest import restriction_table
 
 
 def _record_builds(mp: pytest.MonkeyPatch) -> tuple[list, dict]:
@@ -95,8 +97,8 @@ class TestIntegralCoefficients:
     @pytest.mark.parametrize("ctype", ["A", "B", "C"])
     def test_rank3_tables_hold_no_integral_fraction(self, ctype):
         orbit = Orbit(OrbitSpec(ctype, 3))
-        for table in (table_single_form(orbit.od), typed_table(orbit),
-                      brute_solve_canonical(orbit.od)):
+        for table in (restriction_table(orbit.od), typed_table(orbit),
+                      restriction_table(orbit.od, "brute")):
             assert _integral_fractions(table) == []
 
     def test_d4_typed_table_holds_no_integral_fraction(self, d4_typed):
