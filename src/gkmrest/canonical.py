@@ -10,9 +10,13 @@ values alpha_p(q) by several independent routes:
   * explicit path sums, either with one degree-two class per vertex, given
     as a mapping from vertex to class (restriction_vertex_classes), or with
     a list of classes and the first-separating-level filter
-    (filtered_path_sum, which restriction_ordered, filtered_path_row and
-    the tower engine of the fibration module share).  Both are one step
-    function over the depth-first walk gkm.walk_paths;
+    (filtered_path_sum, which restriction_ordered and the tower engine of
+    the fibration module share).  Both are one step function over the
+    depth-first walk gkm.walk_paths, and give a single entry with its
+    ledger of path terms;
+  * the same filtered path sum for a whole column as one backward dynamic
+    program over (vertex, level) suffix sums (filtered_path_column), which
+    builds the ordered and tower tables;
   * a solver that knows nothing about path formulas and only imposes the
     defining vanishing conditions together with the edge-divisibility
     congruences of localization (brute_row).
@@ -25,6 +29,7 @@ Every value is an exact polynomial; engines must agree entry by entry.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -38,7 +43,16 @@ from .errors import (
     NotDivisible,
     WellDefinednessViolation,
 )
-from .exact import LinFrac, Poly, Weight, format_scalar, linfrac_sum_to_poly, pair
+from .exact import (
+    LinFrac,
+    Poly,
+    Weight,
+    _cancel,
+    _merge_sorted,
+    format_scalar,
+    linfrac_sum_to_poly,
+    pair,
+)
 # magnitude is no longer called here; it stays importable from this module
 # because perfbench/selftest.py checks that the tracer wraps this binding
 from .gkm import OrientedGraphData, magnitude, walk_paths  # noqa: F401
@@ -291,10 +305,128 @@ def filtered_path_sum(
     return linfrac_sum_to_poly([t.value for t in ledger], n), ledger
 
 
-def filtered_path_row(od: OrientedGraphData, h_edge: Mapping[tuple[str, str], int],
-                      w_level: Callable[[int, str], Weight], p: str) -> dict[str, Poly]:
-    """filtered_path_sum from p to every vertex, keyed by the target."""
-    return {q: filtered_path_sum(od, p, q, h_edge, w_level)[0] for q in od.graph.ids}
+# A suffix sum of filtered_path_column: a polynomial over a sorted tuple of
+# primitive forms, the product of which is its denominator.
+_Frac = tuple[Poly, tuple[tuple[int, ...], ...]]
+# the suffix sum of a vertex whose monotone completions pass an edge with a
+# vanishing denominator
+_ILL_DEFINED = object()
+
+
+def _frac_times(s: _Frac, f: LinFrac) -> _Frac:
+    """s times f, with the forms of f's numerator cancelled against s's
+    denominator before any is multiplied in."""
+    num = s[0]
+    forms, den = _cancel(f.num, s[1])
+    for form in forms:
+        num = num.mul_weight(Weight(form))
+    return num.scale(f.scalar), _merge_sorted(den, f.den)
+
+
+def _frac_sum(terms: Sequence[_Frac], n: int) -> _Frac:
+    """The sum over the least common denominator, with every form of it
+    that divides the numerator divided out."""
+    lcd: Counter = Counter()
+    for _, den in terms:
+        lcd |= Counter(den)
+    total = Poly.zero(n)
+    for num, den in terms:
+        for form, k in (lcd - Counter(den)).items():
+            for _ in range(k):
+                num = num.mul_weight(Weight(form))
+        total = total + num
+    if total.is_zero():
+        return total, ()
+    left: list[tuple[int, ...]] = []
+    for form, k in lcd.items():
+        w = Weight(form)
+        for i in range(k):
+            try:
+                total = total.div_weight(w)
+            except NotDivisible:
+                left += [form] * (k - i)
+                break
+    return total.with_int_coefficients(), tuple(sorted(left))
+
+
+def filtered_path_column(od: OrientedGraphData, h_edge: Mapping[tuple[str, str], int],
+                         w_level: Callable[[int, str], Weight], q: str) -> dict[str, Poly]:
+    """filtered_path_sum from every vertex to q, keyed by p in graph order,
+    as one backward dynamic program instead of one walk per pair.
+
+    S(v, l) is lambda_minus(q) times the sum, over the paths v -> q with
+    nondecreasing edge levels all at least l, of the products of their
+    edge factors; alpha_p(q) = S(p, 0).  An edge (v, u) of level j adds its
+    factor times S(u, j).  Canonical edges ascend in phi, so going down
+    od.order every S(u, .) is known before v needs it.  S(v, .) only
+    changes at the levels of v's edges, so each vertex keeps one cumulative
+    sum per such level.  The sums stay exact as polynomials over products
+    of primitive forms.
+
+    A vertex with no monotone path to q has no sum, so an edge into it
+    never counts, as in the walker.  An edge with a vanishing denominator
+    on a monotone path to q makes every sum that contains it ill-defined.
+    An entry that is ill-defined, or not a polynomial, is handed to
+    filtered_path_sum, which raises the walker's own error for that pair;
+    the first such p in graph order is named."""
+    _require_index_increasing(od)
+    n = od.rank
+    reach = od.reachable
+    top: _Frac = (od.lambda_minus(q), ())
+    # v -> [(level, S(v, level))] ascending, one per level of v's edges;
+    # S(v, l) is the first entry whose level is at least l
+    sums: dict[str, list] = {}
+
+    def suffix(u: str, j: int):
+        if u == q:
+            return top
+        return next((s for level, s in sums[u] if level >= j), None)
+
+    for v in reversed(od.order):
+        if v == q or q not in reach[v]:
+            continue
+        groups: dict[int, list] = {}
+        for u in od.up[v]:
+            if q not in reach[u]:
+                continue
+            j = h_edge[(v, u)]
+            s = suffix(u, j)
+            if s is None:
+                continue
+            group = groups.setdefault(j, [])
+            if s is _ILL_DEFINED or group is _ILL_DEFINED:
+                groups[j] = _ILL_DEFINED
+                continue
+            wv = w_level(j, v)
+            den = w_level(j, q) - wv
+            if den.is_zero():
+                groups[j] = _ILL_DEFINED
+            elif not s[0].is_zero():
+                factor = _edge_factor(od, v, u).mul_weight(w_level(j, u) - wv).div_weight(den)
+                group.append(_frac_times(s, factor))
+        cumulative = []
+        acc = None
+        for j in sorted(groups, reverse=True):
+            group = groups[j]
+            if acc is _ILL_DEFINED or group is _ILL_DEFINED:
+                acc = _ILL_DEFINED
+            else:
+                acc = _frac_sum(group if acc is None else [acc, *group], n)
+            cumulative.append((j, acc))
+        sums[v] = cumulative[::-1]
+
+    col: dict[str, Poly] = {}
+    for p in od.graph.ids:
+        s = suffix(p, 0) if q in reach[p] else None
+        if s is None:
+            col[p] = Poly.zero(n)
+        elif s is _ILL_DEFINED or s[1]:
+            # _frac_sum divided out every form it could, so a form left
+            # over means the sum is not a polynomial
+            col[p] = filtered_path_sum(od, p, q, h_edge, w_level)[0]
+        else:
+            col[p] = s[0]
+    return col
 
 
 def ordered_filter(
@@ -302,7 +434,7 @@ def ordered_filter(
     classes: Sequence[Mapping[str, Weight]],
 ) -> tuple[dict[tuple[str, str], int], Callable[[int, str], Weight]]:
     """The h-function and level values of an ordered class list, as
-    filtered_path_sum and filtered_path_row take them; raises
+    filtered_path_sum and filtered_path_column take them; raises
     NoSeparatingClass when some canonical edge is separated by no class."""
     return build_h_function(od, classes), lambda j, v: classes[j - 1][v]
 

@@ -140,7 +140,7 @@ def check_weight_preserving(od: OrientedGraphData, tower: TowerSpec,
 def tower_filter(od: OrientedGraphData, tower: TowerSpec,
                  ) -> tuple[dict[tuple[str, str], int], Callable[[int, str], Weight]]:
     """Validate a tower against od and return its h-function and level
-    values, as filtered_path_sum and filtered_path_row take them.  Raises
+    values, as filtered_path_sum and filtered_path_column take them.  Raises
     GraphFormatError, NoSeparatingLevel or WeightNotPreserved, in that
     order of checks."""
     tower.validate(od)

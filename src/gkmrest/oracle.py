@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 
 from .canonical import (
     brute_row,
-    filtered_path_row,
+    filtered_path_column,
     ordered_filter,
     restriction_ordered,
     single_form_column,
@@ -160,12 +160,12 @@ ENGINES: dict[str, Engine] = {
     "ordered": Engine(
         False, lambda orbit, od, p, q: restriction_ordered(
             od, p, q, _ordered_classes(orbit, od)),
-        by_column=False, slicer=lambda orbit, od: partial(
-            filtered_path_row, od, *ordered_filter(od, _ordered_classes(orbit, od)))),
+        by_column=True, slicer=lambda orbit, od: partial(
+            filtered_path_column, od, *ordered_filter(od, _ordered_classes(orbit, od)))),
     "tower": Engine(
         True, lambda orbit, od, p, q: tower_restriction(od, orbit.tower(), p, q),
-        by_column=False, slicer=lambda orbit, od: partial(
-            filtered_path_row, od, *tower_filter(od, orbit.tower()))),
+        by_column=True, slicer=lambda orbit, od: partial(
+            filtered_path_column, od, *tower_filter(od, orbit.tower()))),
     "typed": Engine(
         True, _typed_entry,
         by_column=True, slicer=lambda orbit, od: partial(typed_column, orbit)),
@@ -281,7 +281,8 @@ def compare_tables(tables: Mapping[str, Mapping[tuple[str, str], Poly]],
 
 def available_engines(target) -> list[str]:
     """Engines applicable to an Orbit or a plain oriented graph, ordered by
-    cost; the exponential ones are included only at small scale."""
+    cost.  Ordered and tower are included on orbits of at most 48
+    elements, billey on root systems of at most 8 positive roots."""
     if isinstance(target, Orbit):
         engines = ["gz", "typed", "brute"]
         if target.spec.ctype == "D" and target.spec.rank < 3:

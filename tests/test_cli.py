@@ -178,6 +178,21 @@ class TestRestrict:
         assert data["engine"] == "tower"
         assert data["paths"]
 
+    # sha256 of the B3 tower ledger of w:1,-3,-2 -> w:-1,-2,-3 (11 paths),
+    # the stdout of `restrict --ledger` with its newline
+    LEDGER_SHA256 = {
+        "json": "e838c145ef9d6e34475766bbc6850418c9a7daa21207e7429c7095a5b028a951",
+        "text": "bd691c82c6da6d574eec7db8bba7d6d1e5f0d136a6c199649bb32753b1e971b5",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(LEDGER_SHA256))
+    def test_tower_ledger_is_pinned(self, capsys, fmt):
+        code, out = run(capsys, "restrict", "--type", "B", "--rank", "3",
+                        "--p", "w:1,-3,-2", "--q", "w:-1,-2,-3",
+                        "--engine", "tower", "--ledger", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.LEDGER_SHA256[fmt]
+
     def test_typed_needs_orbit(self, capsys, cp2_file):
         code, _ = run(capsys, "restrict", "--graph", cp2_file,
                       "--p", "p1", "--q", "p2", "--engine", "typed")
@@ -351,6 +366,17 @@ class TestTable:
         assert newline == "\n" and not body.endswith("\n")
         assert hashlib.sha256(body.encode("utf-8")).hexdigest() == self.TABLE_SHA256[ctype]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("engine", ["ordered", "tower"])
+    @pytest.mark.parametrize("ctype", sorted(TABLE_SHA256))
+    def test_rank3_path_sum_tables_are_pinned(self, capsys, ctype, engine, jobs):
+        """The column dynamic program prints the gz table byte for byte,
+        in forked workers too."""
+        code, out = run(capsys, "table", "--type", ctype, "--rank", "3",
+                        "--engine", engine, "--jobs", jobs)
+        assert code == 0
+        assert hashlib.sha256(out[:-1].encode("utf-8")).hexdigest() == self.TABLE_SHA256[ctype]
+
 
 class TestOrbitCommand:
     def test_emitted_graph_validates(self, capsys):
@@ -466,3 +492,27 @@ class TestExport:
         _, out = run(capsys, "export", "--type", "B", "--rank", "2", "--json")
         g = GkmGraph.from_json(out)
         assert len(g.ids) == 8
+
+
+class TestModuleEntryPoint:
+    """python -m gkmrest runs the same main as the gkmrest executable."""
+
+    def run_module(self, *argv):
+        import os
+        import subprocess
+        import sys
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "gkmrest", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_compare_exits_0(self):
+        done = self.run_module("compare", "--type", "A", "--rank", "2")
+        assert done.returncode == 0, done.stderr
+        assert "0 mismatches" in done.stdout
+
+    def test_bad_rank_exits_2(self):
+        done = self.run_module("compare", "--type", "A", "--rank", "0")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error:") and "Traceback" not in done.stderr

@@ -7,7 +7,12 @@ import pytest
 
 import gkmrest.fibration as fibration
 import gkmrest.canonical as canonical
-from gkmrest.canonical import ordered_filter, restriction_ordered, single_form_column
+from gkmrest.canonical import (
+    filtered_path_column,
+    ordered_filter,
+    restriction_ordered,
+    single_form_column,
+)
 from gkmrest.errors import (
     GraphFormatError,
     NoSeparatingClass,
@@ -87,11 +92,13 @@ class TestReachable:
 
 
 class TestTableMatchesSinglePair:
-    """Every row on A3, every fourth on CP1^4 and every eighth on B3, to
-    keep the single-pair side (one filter build per pair) short."""
+    """The registry's tables are built by filtered_path_column; each is
+    compared with the single-pair walker on every row of A3, the cube and
+    CP2 x CP3, every fourth row of CP1^4 and every eighth of B3, to keep
+    the single-pair side (one filter build per pair) short."""
 
     def check(self, entries, single, ids, step=1):
-        assert list(entries) == [(p, q) for p in ids for q in ids]
+        assert list(entries) == [(p, q) for q in ids for p in ids]
         sampled = set(ids[::step])
         for (p, q), value in entries.items():
             if p in sampled:
@@ -100,10 +107,15 @@ class TestTableMatchesSinglePair:
     def test_ordered(self, a3, b3):
         graph = product_of_projective_spaces(1, 1, 1, 1)
         cp1_4 = OrientedGraphData(graph, Weight([1, 2, 4, 8, 16, 32, 64, 128]))
+        cp2_cp3 = OrientedGraphData(product_of_projective_spaces(2, 3),
+                                    Weight([1, 3, 9, 27, 81, 243, 729]))
+        cube = cube_od()
         for target, od, classes, step in (
                 (a3, a3.od, tower_classes(a3), 1),
                 (b3, b3.od, tower_classes(b3), 8),
-                (cp1_4, cp1_4, [dict(cp1_4.graph.moment)], 4)):
+                (cp1_4, cp1_4, [dict(cp1_4.graph.moment)], 4),
+                (cp2_cp3, cp2_cp3, [dict(cp2_cp3.graph.moment)], 1),
+                (cube, cube, [dict(cube.graph.moment)], 1)):
             self.check(engine_entries(target, "ordered"),
                        lambda p, q: restriction_ordered(od, p, q, classes),
                        od.graph.ids, step)
@@ -114,6 +126,25 @@ class TestTableMatchesSinglePair:
             self.check(engine_entries(orbit, "tower"),
                        lambda p, q: tower_restriction(od, tower, p, q),
                        od.graph.ids, step)
+
+    @pytest.mark.parametrize("engine", ["ordered", "tower"])
+    def test_tables_walk_no_path(self, b3, monkeypatch, engine):
+        """No table entry goes through the exponential walker or its
+        LinFrac sum."""
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(canonical, "walk_paths", counted(canonical.walk_paths))
+        monkeypatch.setattr(canonical, "linfrac_sum_to_poly",
+                            counted(canonical.linfrac_sum_to_poly))
+        entries = engine_entries(b3, engine, jobs=1)
+        assert len(entries) == len(b3.elements) ** 2
+        assert calls == []
 
 
 class TestPruning:
@@ -139,6 +170,24 @@ class TestPruning:
         value, ledger = restriction_ordered(od, "000", "001", classes)
         assert value == single_form_column(od, "001")["000"]
         assert [t.path for t in ledger] == [("000", "001")]
+
+    @pytest.mark.parametrize("bad", ["100", "000"])
+    def test_column_raises_like_the_walker(self, bad):
+        # with 000 bad, the sums that skip its edges are polynomials, so
+        # only the ill-defined mark makes the column raise
+        od = cube_od()
+        classes = [self.moment_with(od, bad, "111")]
+        with pytest.raises(WellDefinednessViolation) as single:
+            restriction_ordered(od, "000", "111", classes)
+        with pytest.raises(WellDefinednessViolation) as column:
+            filtered_path_column(od, *ordered_filter(od, classes), "111")
+        assert str(column.value) == str(single.value)
+
+    def test_column_quiet_when_bad_vertex_cannot_reach_q(self):
+        od = cube_od()
+        classes = [self.moment_with(od, "110", "001")]
+        column = filtered_path_column(od, *ordered_filter(od, classes), "001")
+        assert column == single_form_column(od, "001")
 
     def test_unreachable_target_is_zero_with_empty_ledger(self):
         od = cube_od()
