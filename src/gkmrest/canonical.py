@@ -16,7 +16,7 @@ values alpha_p(q) by several independent routes:
     ledger of path terms;
   * the same filtered path sum for a whole column as one backward dynamic
     program over (vertex, level) suffix sums (filtered_path_column), which
-    builds the ordered and tower tables;
+    builds the ordered and tower tables and the typed A/C columns;
   * a solver that knows nothing about path formulas and only imposes the
     defining vanishing conditions together with the edge-divisibility
     congruences of localization (brute_row).
@@ -29,7 +29,6 @@ Every value is an exact polynomial; engines must agree entry by entry.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -50,6 +49,7 @@ from .exact import (
     _cancel,
     _merge_sorted,
     format_scalar,
+    frac_sum,
     linfrac_sum_to_poly,
     pair,
 )
@@ -253,15 +253,35 @@ def build_h_function(
     return h
 
 
+@dataclass
+class PathFilter:
+    """A filtered path sum's levels: h_edge of each canonical edge, and
+    w_level(j, v), the level-j class at v.  factor(a, b) is
+    theta/weight * (w_h(b) - w_h(a)), which does not depend on the target:
+    it is built on first use and kept, once per edge in a table (per edge
+    and worker when forked).  Theta is only asked of an edge a sum
+    crosses, so the walker's errors and their order stay."""
+
+    od: OrientedGraphData
+    h_edge: Mapping[tuple[str, str], int]
+    w_level: Callable[[int, str], Weight]
+    _factors: dict = field(default_factory=dict, repr=False)
+
+    def factor(self, a: str, b: str) -> LinFrac:
+        got = self._factors.get((a, b))
+        if got is None:
+            j = self.h_edge[(a, b)]
+            got = self._factors[(a, b)] = _edge_factor(self.od, a, b).mul_weight(
+                self.w_level(j, b) - self.w_level(j, a))
+        return got
+
+
 def filtered_path_sum(
-    od: OrientedGraphData, p: str, q: str,
-    h_edge: Mapping[tuple[str, str], int],
-    w_level: Callable[[int, str], Weight],
+    od: OrientedGraphData, p: str, q: str, filt: PathFilter,
 ) -> tuple[Poly, list[PathTerm]]:
     """Sum over canonical-graph paths p -> q whose edge levels are
-    nondecreasing; each edge contributes
-    (w_h(b) - w_h(a)) / (w_h(q) - w_h(a)) times the edge label, with h the
-    edge's level.
+    nondecreasing; each edge contributes its factor (PathFilter.factor)
+    over w_h(q) - w_h(a), with h the edge's level and a its start.
 
     The walk only extends a prefix to a vertex u from which q is reachable
     along canonical edges (od.reachable).  This is exact: every path
@@ -275,8 +295,6 @@ def filtered_path_sum(
     _require_index_increasing(od)
     n = od.rank
     reach = od.reachable
-    if q not in reach[p]:
-        return linfrac_sum_to_poly([], n), []
 
     def step(path, state):
         v = path[-1]
@@ -288,17 +306,14 @@ def filtered_path_sum(
         for u in od.up[v]:
             if q not in reach[u]:
                 continue
-            j = h_edge[(v, u)]
+            j = filt.h_edge[(v, u)]
             if j < last:
                 continue
-            wv = w_level(j, v)
-            num = w_level(j, u) - wv
-            den = w_level(j, q) - wv
+            den = filt.w_level(j, q) - filt.w_level(j, v)
             if acc is None or den.is_zero():
                 out.append((u, (None, levels + (j,))))
                 continue
-            factor = _edge_factor(od, v, u).mul_weight(num).div_weight(den)
-            out.append((u, (acc * factor, levels + (j,))))
+            out.append((u, (acc * filt.factor(v, u).div_weight(den), levels + (j,))))
         return out
 
     ledger = _path_terms(od, q, walk_paths(p, (LinFrac.one(n), ()), step), "a level")
@@ -323,45 +338,18 @@ def _frac_times(s: _Frac, f: LinFrac) -> _Frac:
     return num.scale(f.scalar), _merge_sorted(den, f.den)
 
 
-def _frac_sum(terms: Sequence[_Frac], n: int) -> _Frac:
-    """The sum over the least common denominator, with every form of it
-    that divides the numerator divided out."""
-    lcd: Counter = Counter()
-    for _, den in terms:
-        lcd |= Counter(den)
-    total = Poly.zero(n)
-    for num, den in terms:
-        for form, k in (lcd - Counter(den)).items():
-            for _ in range(k):
-                num = num.mul_weight(Weight(form))
-        total = total + num
-    if total.is_zero():
-        return total, ()
-    left: list[tuple[int, ...]] = []
-    for form, k in lcd.items():
-        w = Weight(form)
-        for i in range(k):
-            try:
-                total = total.div_weight(w)
-            except NotDivisible:
-                left += [form] * (k - i)
-                break
-    return total.with_int_coefficients(), tuple(sorted(left))
-
-
-def filtered_path_column(od: OrientedGraphData, h_edge: Mapping[tuple[str, str], int],
-                         w_level: Callable[[int, str], Weight], q: str) -> dict[str, Poly]:
+def filtered_path_column(od: OrientedGraphData, filt: PathFilter, q: str) -> dict[str, Poly]:
     """filtered_path_sum from every vertex to q, keyed by p in graph order,
     as one backward dynamic program instead of one walk per pair.
 
     S(v, l) is lambda_minus(q) times the sum, over the paths v -> q with
     nondecreasing edge levels all at least l, of the products of their
     edge factors; alpha_p(q) = S(p, 0).  An edge (v, u) of level j adds its
-    factor times S(u, j).  Canonical edges ascend in phi, so going down
-    od.order every S(u, .) is known before v needs it.  S(v, .) only
-    changes at the levels of v's edges, so each vertex keeps one cumulative
-    sum per such level.  The sums stay exact as polynomials over products
-    of primitive forms.
+    factor over w_j(q) - w_j(v) times S(u, j).  Canonical edges ascend in
+    phi, so going down od.order every S(u, .) is known before v needs it.
+    S(v, .) only changes at the levels of v's edges, so each vertex keeps
+    one cumulative sum per such level.  The sums stay exact as polynomials
+    over products of primitive forms; only the division depends on q.
 
     A vertex with no monotone path to q has no sum, so an edge into it
     never counts, as in the walker.  An edge with a vanishing denominator
@@ -389,7 +377,7 @@ def filtered_path_column(od: OrientedGraphData, h_edge: Mapping[tuple[str, str],
         for u in od.up[v]:
             if q not in reach[u]:
                 continue
-            j = h_edge[(v, u)]
+            j = filt.h_edge[(v, u)]
             s = suffix(u, j)
             if s is None:
                 continue
@@ -397,13 +385,11 @@ def filtered_path_column(od: OrientedGraphData, h_edge: Mapping[tuple[str, str],
             if s is _ILL_DEFINED or group is _ILL_DEFINED:
                 groups[j] = _ILL_DEFINED
                 continue
-            wv = w_level(j, v)
-            den = w_level(j, q) - wv
+            den = filt.w_level(j, q) - filt.w_level(j, v)
             if den.is_zero():
                 groups[j] = _ILL_DEFINED
             elif not s[0].is_zero():
-                factor = _edge_factor(od, v, u).mul_weight(w_level(j, u) - wv).div_weight(den)
-                group.append(_frac_times(s, factor))
+                group.append(_frac_times(s, filt.factor(v, u).div_weight(den)))
         cumulative = []
         acc = None
         for j in sorted(groups, reverse=True):
@@ -411,7 +397,7 @@ def filtered_path_column(od: OrientedGraphData, h_edge: Mapping[tuple[str, str],
             if acc is _ILL_DEFINED or group is _ILL_DEFINED:
                 acc = _ILL_DEFINED
             else:
-                acc = _frac_sum(group if acc is None else [acc, *group], n)
+                acc = frac_sum(group if acc is None else [acc, *group], n)
             cumulative.append((j, acc))
         sums[v] = cumulative[::-1]
 
@@ -421,22 +407,20 @@ def filtered_path_column(od: OrientedGraphData, h_edge: Mapping[tuple[str, str],
         if s is None:
             col[p] = Poly.zero(n)
         elif s is _ILL_DEFINED or s[1]:
-            # _frac_sum divided out every form it could, so a form left
+            # frac_sum divided out every form it could, so a form left
             # over means the sum is not a polynomial
-            col[p] = filtered_path_sum(od, p, q, h_edge, w_level)[0]
+            col[p] = filtered_path_sum(od, p, q, filt)[0]
         else:
             col[p] = s[0]
     return col
 
 
-def ordered_filter(
-    od: OrientedGraphData,
-    classes: Sequence[Mapping[str, Weight]],
-) -> tuple[dict[tuple[str, str], int], Callable[[int, str], Weight]]:
-    """The h-function and level values of an ordered class list, as
-    filtered_path_sum and filtered_path_column take them; raises
-    NoSeparatingClass when some canonical edge is separated by no class."""
-    return build_h_function(od, classes), lambda j, v: classes[j - 1][v]
+def ordered_filter(od: OrientedGraphData,
+                   classes: Sequence[Mapping[str, Weight]]) -> PathFilter:
+    """The filter of an ordered class list, as filtered_path_sum and
+    filtered_path_column take it; raises NoSeparatingClass when some
+    canonical edge is separated by no class."""
+    return PathFilter(od, build_h_function(od, classes), lambda j, v: classes[j - 1][v])
 
 
 def restriction_ordered(
@@ -445,7 +429,7 @@ def restriction_ordered(
 ) -> tuple[Poly, list[PathTerm]]:
     """Filtered path sum for an ordered list of classes; callers are
     expected to have certified the vanishing hypothesis (verify_tech)."""
-    return filtered_path_sum(od, p, q, *ordered_filter(od, classes))
+    return filtered_path_sum(od, p, q, ordered_filter(od, classes))
 
 
 def verify_tech(

@@ -18,6 +18,7 @@ Conventions:
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -636,14 +637,10 @@ def _merge_sorted(a: tuple, b: tuple) -> tuple:
 def _cancel(num: tuple, den: tuple) -> tuple[tuple, tuple]:
     if not num or not den:
         return num, den
-    from collections import Counter
     cn, cd = Counter(num), Counter(den)
-    common = cn & cd
-    if not common:
+    if not cn & cd:
         return num, den
-    cn.subtract(common)
-    cd.subtract(common)
-    return (tuple(sorted(cn.elements())), tuple(sorted(cd.elements())))
+    return tuple(sorted((cn - cd).elements())), tuple(sorted((cd - cn).elements()))
 
 
 class LinFrac:
@@ -739,46 +736,56 @@ class LinFrac:
         return f"LinFrac({self})"
 
 
-def linfrac_sum_to_poly(terms: Iterable, n: int | None = None) -> Poly:
-    """Sum a collection of LinFrac values (optionally paired with polynomial
-    multipliers) into an exact polynomial.
-
-    Each element is either a LinFrac or a tuple (LinFrac, Poly).  All terms
-    are brought over the least common denominator (maximum multiplicity of
-    each primitive form), expanded, summed, and divided back out.  Raises
-    NotDivisible if the sum is not a polynomial.
-    """
-    from collections import Counter
-    items: list[tuple[LinFrac, Poly | None]] = []
-    for t in terms:
-        if isinstance(t, LinFrac):
-            items.append((t, None))
-        else:
-            items.append((t[0], t[1]))
-    if n is None:
-        if not items:
-            raise ValueError("cannot infer variable count from an empty sum")
-        n = items[0][0].n
+def frac_sum(terms: Sequence[tuple[Poly, tuple]], n: int) -> tuple[Poly, tuple]:
+    """The sum of fractions (num, den), den a sorted tuple of primitive
+    forms whose product is the denominator, over their least common
+    denominator (maximum multiplicity of each form).  Every form of it that
+    divides the summed numerator is divided out; the forms left over come
+    back sorted, so an empty tuple means the sum is a polynomial."""
     lcd: Counter = Counter()
-    for f, _ in items:
-        if f.scalar != 0:
-            lcd |= Counter(f.den)
+    for _, den in terms:
+        lcd |= Counter(den)
     total = Poly.zero(n)
-    for f, mult in items:
-        if f.scalar == 0:
-            continue
-        p = Poly.const(n, f.scalar)
-        for form in f.num:
-            p = p.mul_weight(Weight(form))
-        extra = lcd - Counter(f.den)
-        for form, k in extra.items():
+    for num, den in terms:
+        for form, k in (lcd - Counter(den)).items():
             for _ in range(k):
-                p = p.mul_weight(Weight(form))
-        if mult is not None:
-            p = p * mult
-        total = total + p
+                num = num.mul_weight(Weight(form))
+        total = total + num
+    if total.is_zero():
+        return total, ()
+    left: list[tuple[int, ...]] = []
     for form, k in lcd.items():
         w = Weight(form)
-        for _ in range(k):
-            total = total.div_weight(w)
+        for i in range(k):
+            try:
+                total = total.div_weight(w)
+            except NotDivisible:
+                left += [form] * (k - i)
+                break
+    return total.with_int_coefficients(), tuple(sorted(left))
+
+
+def linfrac_sum_to_poly(terms: Iterable, n: int | None = None) -> Poly:
+    """Sum a collection of LinFrac values (optionally paired with polynomial
+    multipliers) into an exact polynomial, by frac_sum.
+
+    Each element is either a LinFrac or a tuple (LinFrac, Poly).  Raises
+    NotDivisible if the sum is not a polynomial.
+    """
+    fracs = []
+    for t in terms:
+        f, mult = (t, None) if isinstance(t, LinFrac) else t
+        n = f.n if n is None else n
+        if f.scalar != 0:
+            p = Poly.const(n, f.scalar)
+            for form in f.num:
+                p = p.mul_weight(Weight(form))
+            fracs.append((p if mult is None else p * mult, f.den))
+    if n is None:
+        raise ValueError("cannot infer variable count from an empty sum")
+    total, left = frac_sum(fracs, n)
+    if left:
+        # name the form the division first fails at, the first of the lcd
+        first = next(form for _, den in fracs for form in den if form in left)
+        raise NotDivisible(f"not divisible by linear form {format_weight(first)}")
     return total

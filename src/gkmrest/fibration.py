@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     GraphFormatError,
@@ -21,7 +21,7 @@ from .errors import (
     WeightNotPreserved,
 )
 from .exact import LinFrac, Poly, Weight, linfrac_sum_to_poly
-from .canonical import PathTerm, _require_index_increasing, filtered_path_sum
+from .canonical import PathFilter, PathTerm, _require_index_increasing, filtered_path_sum
 from .gkm import OrientedGraphData, magnitude, walk_paths
 
 
@@ -137,16 +137,15 @@ def check_weight_preserving(od: OrientedGraphData, tower: TowerSpec,
                 f"multiple of the edge weight")
 
 
-def tower_filter(od: OrientedGraphData, tower: TowerSpec,
-                 ) -> tuple[dict[tuple[str, str], int], Callable[[int, str], Weight]]:
-    """Validate a tower against od and return its h-function and level
-    values, as filtered_path_sum and filtered_path_column take them.  Raises
+def tower_filter(od: OrientedGraphData, tower: TowerSpec) -> PathFilter:
+    """Validate a tower against od and return its filter (h-function and
+    level values), as filtered_path_sum and filtered_path_column take it.  Raises
     GraphFormatError, NoSeparatingLevel or WeightNotPreserved, in that
     order of checks."""
     tower.validate(od)
     h = tower_h_function(od, tower)
     check_weight_preserving(od, tower, h)
-    return h, lambda j, v: tower.levels[j - 1].moment[v]
+    return PathFilter(od, h, lambda j, v: tower.levels[j - 1].moment[v])
 
 
 def tower_restriction(od: OrientedGraphData, tower: TowerSpec, p: str, q: str,
@@ -154,7 +153,7 @@ def tower_restriction(od: OrientedGraphData, tower: TowerSpec, p: str, q: str,
     """Filtered path sum driven by a tower: levels come from the first
     separating projection and the class values are the pulled-back
     moments."""
-    return filtered_path_sum(od, p, q, *tower_filter(od, tower))
+    return filtered_path_sum(od, p, q, tower_filter(od, tower))
 
 
 # ---------------------------------------------------------------------------

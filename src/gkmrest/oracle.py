@@ -161,11 +161,11 @@ ENGINES: dict[str, Engine] = {
         False, lambda orbit, od, p, q: restriction_ordered(
             od, p, q, _ordered_classes(orbit, od)),
         by_column=True, slicer=lambda orbit, od: partial(
-            filtered_path_column, od, *ordered_filter(od, _ordered_classes(orbit, od)))),
+            filtered_path_column, od, ordered_filter(od, _ordered_classes(orbit, od)))),
     "tower": Engine(
         True, lambda orbit, od, p, q: tower_restriction(od, orbit.tower(), p, q),
         by_column=True, slicer=lambda orbit, od: partial(
-            filtered_path_column, od, *tower_filter(od, orbit.tower()))),
+            filtered_path_column, od, tower_filter(od, orbit.tower()))),
     "typed": Engine(
         True, _typed_entry,
         by_column=True, slicer=lambda orbit, od: partial(typed_column, orbit)),

@@ -4,9 +4,10 @@ graphs, and the type-specific restriction formulas.
 A generic orbit is the Weyl orbit of a regular point mu in the dual space;
 its graph has the orbit points as vertices, reflection pairs as edges, and
 carries a natural tower of projections obtained by collapsing the tail of
-mu.  Types A and C admit closed product formulas over level-monotone cover
-chains; types B and D are handled by descending to the rank-one base orbit:
-the horizontal paths into the fiber through q are enumerated by
+mu.  Types A and C admit a closed product formula over slot-monotone cover
+chains, the filtered path sum of the coordinate classes, whose columns the
+column dynamic program computes; types B and D descend to the rank-one base
+orbit: the horizontal paths into the fiber through q are enumerated by
 fibration.horizontal_paths on the canonical graph, classified by their
 projections to the base, and weighed by the restrictions on the fiber,
 which a smaller orbit of the same type solves (rank three of type D is
@@ -22,7 +23,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
-from .canonical import PathTerm, RestrictionTable
+from .canonical import PathFilter, PathTerm, RestrictionTable, filtered_path_column, ordered_filter
 from .errors import GraphFormatError, ThetaNotOne
 from .exact import LinFrac, Poly, Weight, format_scalar, linfrac_sum_to_poly, pair
 from .fibration import (
@@ -599,14 +600,14 @@ class Orbit:
 
     def column(self, q_vid: str) -> dict[str, Poly]:
         """The typed column at the vertex q_vid (see typed_column), computed
-        on first request and kept on this orbit."""
+        on first request and kept on this orbit; on types A and C, the
+        values of formula_AC from filtered_path_column, walking no chain."""
         got = self._columns.get(q_vid)
         if got is not None:
             return got
         ctype = self.spec.ctype
         if ctype in ("A", "C"):
-            got = {self.vid_of[w.word]: formula_AC(self, w, q_vid)[0]
-                   for w in self.elements}
+            got = filtered_path_column(self.od, self.coordinate_filter, q_vid)
         elif ctype == "D" and self.spec.rank == 3:
             got = _d3_column_via_a3(self, q_vid)
         elif ctype == "D" and self.spec.rank < 3:
@@ -637,15 +638,20 @@ class Orbit:
         return got
 
     @cached_property
-    def a3_elements(self) -> dict[str, SignedPerm]:
-        """Rank-three type D only: each vertex's element of the type A
-        orbit of the translated point (see _d3_column_via_a3)."""
-        mu_a = _d3_point_to_a3(self.mu).coords
-        out = {}
-        for v in self.od.graph.ids:
-            target = _d3_point_to_a3(self.od.graph.moment[v]).coords
-            out[v] = SignedPerm(target.index(c) + 1 for c in mu_a)
-        return out
+    def coordinate_filter(self) -> PathFilter:
+        """Types A and C: the filter of the coordinate classes x_k(w) =
+        e(w[k]), k = 1..rank.  It gives each cover edge its slot as level,
+        so its filtered path sum is the closed formula of formula_AC."""
+        m = self.rs.ambient
+        classes = [{self.vid_of[w.word]: _unit(w.word[k], m) for w in self.elements}
+                   for k in range(self.spec.rank)]
+        return ordered_filter(self.od, classes)
+
+    @cached_property
+    def a3_vertices(self) -> dict[str, str]:
+        """Rank-three type D only: each vertex's vertex in the type A orbit
+        of the translated point (see _d3_column_via_a3)."""
+        return {v: _vertex_id(_d3_point_to_a3(pt)) for v, pt in self.od.graph.moment.items()}
 
 
 def canonical_graph_orbit(orbit: Orbit, verify_theta: bool = True) -> CanonicalGraph:
@@ -709,7 +715,8 @@ def formula_AC(orbit: Orbit, p, q) -> tuple[Poly, list[PathTerm]]:
     """Closed product formula for types A and C: the sum over slot-monotone
     cover chains of the downward product at q divided by, for each step,
     the difference of the signed coordinates that the step's slot carries
-    at the step's start and at q."""
+    at the step's start and at q.  The per-entry reference, with a ledger,
+    of the typed columns, which take the same sum from Orbit.column."""
     if orbit.spec.ctype not in ("A", "C"):
         raise GraphFormatError("closed formula applies to types A and C only")
     m = orbit.rs.ambient
@@ -895,7 +902,8 @@ def _embed_poly(poly: Poly, free: Sequence[int], m: int) -> Poly:
 
 def typed_column(orbit: Orbit, q) -> dict[str, Poly]:
     """Values alpha_._(q) for all sources, computed by this orbit's
-    type-specific engine: the closed formula for types A and C, rank-three
+    type-specific engine: the closed formula for types A and C (by the
+    column dynamic program the ordered and tower tables share), rank-three
     type D through type A, and the fiber recursion for types B and D."""
     return orbit.column(orbit.vertex(q))
 
@@ -926,10 +934,9 @@ def _d3_column_via_a3(orbit: Orbit, q_vid: str) -> dict[str, Poly]:
     points map through the coordinate identification, values map back by
     substituting the inverse forms."""
     a_orbit = orbit.child("A", 3, _d3_point_to_a3(orbit.mu))
-    perms = orbit.a3_elements
-    wq = perms[q_vid]
-    return {v: formula_AC(a_orbit, perms[v], wq)[0].substitute(_A3_TO_D3, 3)
-            for v in orbit.od.graph.ids}
+    a_vid = orbit.a3_vertices
+    col = a_orbit.column(a_vid[q_vid])
+    return {v: col[a].substitute(_A3_TO_D3, 3) for v, a in a_vid.items()}
 
 
 def _bd_column(orbit: Orbit, q_vid: str) -> dict[str, Poly]:

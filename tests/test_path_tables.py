@@ -1,7 +1,7 @@
 """Tests of the filtered path-sum tables: the registry's ordered and tower
 tables against the single-pair entry points, reachability pruning in the
-walker, error parity of the filters, and that each filter is built once
-per table."""
+walker, error parity of the filters, and that each filter and each edge
+factor is built once per table."""
 
 import pytest
 
@@ -180,13 +180,13 @@ class TestPruning:
         with pytest.raises(WellDefinednessViolation) as single:
             restriction_ordered(od, "000", "111", classes)
         with pytest.raises(WellDefinednessViolation) as column:
-            filtered_path_column(od, *ordered_filter(od, classes), "111")
+            filtered_path_column(od, ordered_filter(od, classes), "111")
         assert str(column.value) == str(single.value)
 
     def test_column_quiet_when_bad_vertex_cannot_reach_q(self):
         od = cube_od()
         classes = [self.moment_with(od, "110", "001")]
-        column = filtered_path_column(od, *ordered_filter(od, classes), "001")
+        column = filtered_path_column(od, ordered_filter(od, classes), "001")
         assert column == single_form_column(od, "001")
 
     def test_unreachable_target_is_zero_with_empty_ledger(self):
@@ -273,3 +273,21 @@ class TestFilterBuiltOnce:
         entries = engine_entries(a3, "ordered", jobs=jobs)
         assert len(entries) == len(a3.elements) ** 2
         assert len(calls) == 1
+
+    def test_edge_factor_built_once_per_edge_of_ordered_table(self, b3, monkeypatch):
+        """The factor theta/weight * (w_h(b) - w_h(a)) depends on the edge
+        only, so a table builds it once per canonical edge it crosses,
+        not once per (edge, column)."""
+        calls = []
+        original = canonical._edge_factor
+
+        def counting(od, a, b):
+            calls.append((a, b))
+            return original(od, a, b)
+
+        monkeypatch.setattr(canonical, "_edge_factor", counting)
+        entries = engine_entries(b3, "ordered", jobs=1)
+        assert len(entries) == len(b3.elements) ** 2
+        edges = {(a, b) for a in b3.od.graph.ids for b in b3.od.up[a]}
+        assert len(calls) == len(set(calls)) == len(edges)
+        assert set(calls) == edges
