@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -75,6 +76,14 @@ class Weight:
 
     def __init__(self, coords: Iterable):
         object.__setattr__(self, "coords", tuple(_as_exact(c) for c in coords))
+
+    @classmethod
+    def of_exact(cls, coords: tuple) -> "Weight":
+        """The weight of a tuple whose entries are already exact scalars
+        (ints, and Fractions that are not integral), taken as it is."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "coords", coords)
+        return w
 
     def __setattr__(self, *a):
         raise AttributeError("Weight is immutable")
@@ -181,9 +190,11 @@ def format_weight(coords: Sequence) -> str:
 # Sparse multivariate polynomials
 # ---------------------------------------------------------------------------
 
-# One tuple per exponent vector read by Poly.from_json.  Degree D in n
-# variables has C(D+n, n) monomials, 1,820 for a rank-4 table; the limit
-# only keeps unrelated inputs in one process from growing it without end.
+# One tuple per exponent vector read by Poly.from_json or made by a
+# quotient of Poly.div_weight, so that a table holds each monomial once.
+# Degree D in n variables has C(D+n, n) monomials, 1,820 for a rank-4
+# table and 54,264 for rank five of type A; the limit only keeps unrelated
+# inputs in one process from growing it without end.
 _EXP_POOL: dict[tuple[int, ...], tuple[int, ...]] = {}
 _EXP_POOL_LIMIT = 1 << 16
 
@@ -196,7 +207,8 @@ class Poly:
     """Sparse polynomial over the rationals in x_1..x_m.
 
     ``terms`` maps exponent tuples to nonzero coefficients; the zero
-    polynomial has an empty dict.  Instances are treated as immutable.
+    polynomial has an empty dict.  Instances are immutable: no code changes
+    ``terms`` after construction, so Poly.zero can share one instance.
     """
 
     __slots__ = ("n", "terms")
@@ -213,7 +225,9 @@ class Poly:
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    @cache
     def zero(cls, n: int) -> "Poly":
+        """The zero polynomial in n variables, one shared instance per n."""
         return cls(n, {}, _clean=True)
 
     @classmethod
@@ -369,7 +383,8 @@ class Poly:
 
     def div_weight(self, w: Weight) -> "Poly":
         """Exact division by a (homogeneous) linear form via synthetic
-        division in the form's leading variable."""
+        division in the form's leading variable.  The quotient's exponent
+        tuples come from _EXP_POOL."""
         piv = next((i for i, c in enumerate(w.coords) if c != 0), None)
         if piv is None:
             raise ZeroDivisionError("division by zero form")
@@ -385,6 +400,8 @@ class Poly:
             buckets.setdefault(e[piv], {})[e0] = c
         top = max(buckets)
         quot: dict = {}
+        if len(_EXP_POOL) >= _EXP_POOL_LIMIT:
+            _EXP_POOL.clear()
         # writing self = sum_k x_piv^k a_k and quotient = sum_k x_piv^k q_k:
         #   a_k = c0 * q_{k-1} + rest * q_k   =>   q_{k-1} = (a_k - rest*q_k)/c0
         qk: dict = {}
@@ -400,7 +417,8 @@ class Poly:
                         num[e2] = s
             qk = {e: _div_scalar(c, c0) for e, c in num.items()}
             for e, v in qk.items():
-                quot[e[:piv] + (k - 1,) + e[piv + 1:]] = v
+                e2 = e[:piv] + (k - 1,) + e[piv + 1:]
+                quot[_EXP_POOL.setdefault(e2, e2)] = v
         # remainder check: a_0 - rest*q_0 must vanish
         rem = dict(buckets.get(0, {}))
         for e, c in qk.items():
@@ -551,19 +569,18 @@ class Poly:
     @classmethod
     def from_json(cls, n: int, data: list[dict]) -> "Poly":
         """Read a term list.  Equal exponent vectors share one tuple from
-        _EXP_POOL, so a table read back holds each monomial once."""
+        _EXP_POOL, so a table read back holds each monomial once, and every
+        zero read back is the shared Poly.zero(n)."""
         terms = {}
+        if len(_EXP_POOL) >= _EXP_POOL_LIMIT:
+            _EXP_POOL.clear()
         for item in data:
             e = tuple(map(int, item["exp"]))
             if len(e) != n:
                 raise ValueError("exponent length mismatch")
-            pooled = _EXP_POOL.get(e)
-            if pooled is None:
-                if len(_EXP_POOL) >= _EXP_POOL_LIMIT:
-                    _EXP_POOL.clear()
-                pooled = _EXP_POOL[e] = e
-            terms[pooled] = _as_exact(item["coeff"])
-        return cls(n, terms)
+            terms[_EXP_POOL.setdefault(e, e)] = _as_exact(item["coeff"])
+        out = cls(n, terms)
+        return out if out.terms else cls.zero(n)
 
     def __str__(self):
         if not self.terms:

@@ -217,17 +217,21 @@ def choose_generic_xi(g: GkmGraph, seed: int = 0) -> Weight:
 
 class OrientedGraphData:
     """A graph together with a certified direction vector and the derived
-    Morse data: phi values, indices, downward weight multisets, and their
-    products.  The Morse data is built eagerly; edge scalars, gz
-    coefficients, the index-increasing flag, canonical reachability, the
-    lower neighbours and the congruence products are memoised on first use.
+    Morse data: phi values, indices and downward weight multisets, built
+    eagerly.  The downward products, edge scalars and the projected forms
+    they are made of, gz coefficients, the index-increasing flag, canonical
+    reachability, the lower neighbours and the congruence products are
+    memoised on first use.
     """
 
     def __init__(self, graph: GkmGraph, xi: Weight):
         if len(xi) != graph.rank:
             raise GenericityError("direction vector has wrong length")
+        xi_pair: dict[Weight, Fraction] = {}  # one pairing per distinct weight
         for (src, dst), w in graph.weights.items():
-            if w.is_zero() or pair(w, xi) == 0:
+            if w not in xi_pair:
+                xi_pair[w] = 0 if w.is_zero() else pair(w, xi)
+            if xi_pair[w] == 0:
                 raise GenericityError(f"direction pairs to zero with edge ({src},{dst})")
         self.graph = graph
         self.xi = xi
@@ -240,14 +244,11 @@ class OrientedGraphData:
             downs = []
             for u in graph.adj[v]:
                 w = graph.weights[(u, v)]
-                if pair(w, xi) > 0:
+                if xi_pair[w] > 0:
                     downs.append(w)
             downs.sort(key=lambda w: w.coords)
             self.neg[v] = tuple(downs)
             self.lam[v] = len(downs)
-        self.lambda_minus_poly: dict[str, Poly] = {
-            v: Poly.from_weight_product(graph.rank, self.neg[v]) for v in graph.ids
-        }
         # canonical out-edges: neighbours one index up
         self.up: dict[str, tuple[str, ...]] = {
             v: tuple(u for u in graph.adj[v] if self.lam[u] == self.lam[v] + 1)
@@ -256,7 +257,9 @@ class OrientedGraphData:
         self.order: tuple[str, ...] = tuple(
             sorted(graph.ids, key=lambda v: (self.phi[v], v))
         )
+        self._lambda_minus: dict[str, Poly] = {}
         self._theta_cache: dict[tuple[str, str], Fraction] = {}
+        self._projections: dict[tuple[Weight, Weight], tuple | None] = {}
         self._gz_coefficients: dict[tuple[str, str], Fraction] = {}
         self._congruence_products: dict[str, tuple[Poly | None, ...]] = {}
 
@@ -265,7 +268,10 @@ class OrientedGraphData:
         return self.graph.rank
 
     def lambda_minus(self, p: str) -> Poly:
-        return self.lambda_minus_poly[p]
+        got = self._lambda_minus.get(p)
+        if got is None:
+            got = self._lambda_minus[p] = Poly.from_weight_product(self.rank, self.neg[p])
+        return got
 
     def lambda_minus_linfrac(self, p: str) -> LinFrac:
         f = LinFrac.one(self.rank)
@@ -299,8 +305,8 @@ class OrientedGraphData:
         rest.remove(eta)
         # both sides have lam(p) factors, so the projections may all be
         # scaled by the same <eta, xi>
-        num = _scaled_projections(self.neg[p], eta, self.xi)
-        den = _scaled_projections(rest, eta, self.xi)
+        num = self._scaled_projections(self.neg[p], eta)
+        den = self._scaled_projections(rest, eta)
         if den is None:
             raise NotScalarRatio(f"projected product at {q} vanished on edge ({p},{q})")
         # a zero numerator is proportional to anything, so it only vanishes
@@ -313,6 +319,27 @@ class OrientedGraphData:
             raise NonIntegerTheta(f"edge scalar {ratio} at ({p},{q}) is not an integer")
         self._theta_cache[key] = ratio
         return ratio
+
+    def _scaled_projections(self, weights, eta: Weight):
+        """Split the product of <eta,xi> * rho_project(w, eta, xi) over
+        weights into (sorted primitive forms, product of scales), or None
+        when a factor is zero.  Scaling by <eta,xi> keeps integral weights
+        integral.  Each factor's split depends only on the pair (w, eta),
+        so it is memoised per pair."""
+        forms, scale = [], 1
+        for w in weights:
+            key = (w, eta)
+            if key not in self._projections:
+                d, t = pair(eta, self.xi), pair(w, self.xi)
+                x = Weight([d * a - t * b for a, b in zip(w.coords, eta.coords)])
+                self._projections[key] = None if x.is_zero() else x.primitive()
+            split = self._projections[key]
+            if split is None:
+                return None
+            forms.append(split[0])
+            scale *= split[1]
+        forms.sort()
+        return forms, scale
 
     def gz_coefficient(self, v: str, r: str) -> Fraction:
         """magnitude(v, r) * theta(v, r): the weight of the value at r in
@@ -375,24 +402,6 @@ class OrientedGraphData:
         phi = self.phi
         return {v: tuple(r for r in self.graph.adj[v] if phi[r] < phi[v])
                 for v in self.graph.ids}
-
-
-def _scaled_projections(weights, eta: Weight, xi: Weight):
-    """Split the product of <eta,xi> * rho_project(w, eta, xi) over weights
-    into (sorted primitive forms, product of scales), or None when a
-    factor is zero.  Scaling by <eta,xi> keeps integral weights integral."""
-    d = pair(eta, xi)
-    forms, scale = [], 1
-    for w in weights:
-        t = pair(w, xi)
-        x = Weight([d * a - t * b for a, b in zip(w.coords, eta.coords)])
-        if x.is_zero():
-            return None
-        prim, s = x.primitive()
-        forms.append(prim)
-        scale *= s
-    forms.sort()
-    return forms, scale
 
 
 def walk_paths(start, state, step):

@@ -38,6 +38,7 @@ from .orbits import (
     inversion_prefix_roots,
     lexmin_reduced_word,
     typed_column,
+    typed_entry,
     weyl_length,
 )
 
@@ -130,8 +131,13 @@ def _ordered_classes(orbit: Orbit | None, od: OrientedGraphData) -> list:
 
 
 def _typed_entry(orbit: Orbit, od, p: str, q: str):
-    if orbit.spec.ctype in ("A", "C"):
+    """A and C by their closed formula, B and D from rank two and four by
+    typed_entry alone; the rest (B1, D3 through A3) read the column."""
+    ctype, rank = orbit.spec.ctype, orbit.spec.rank
+    if ctype in ("A", "C"):
         return formula_AC(orbit, p, q)
+    if rank >= (2 if ctype == "B" else 4):
+        return typed_entry(orbit, p, q), None
     return typed_column(orbit, q)[p], None
 
 

@@ -91,11 +91,10 @@ class SignedPerm:
     def act(self, v: Weight) -> Weight:
         """Push a covector through the action x_i -> sign * x_|entry|."""
         out = [0] * len(self.word)
-        for i, a in enumerate(self.word):
-            c = v.coords[i]
+        for c, a in zip(v.coords, self.word):
             if c != 0:
                 out[abs(a) - 1] = c if a > 0 else -c
-        return Weight(out)
+        return Weight.of_exact(tuple(out))
 
     def __mul__(self, other: "SignedPerm") -> "SignedPerm":
         """Composition: (self * other)(x) = self(other(x))."""
@@ -378,18 +377,17 @@ def build_orbit_gkm(spec: OrbitSpec, level: int | None = None) -> GkmGraph:
                     points[img.coords] = img
                     nxt.append(img)
         frontier = nxt
-    vertices = [( _vertex_id(pt), pt) for pt in sorted(points.values(), key=lambda w: w.coords)]
+    vid = {coords: _vertex_id(pt) for coords, pt in points.items()}
+    vertices = [(vid[coords], points[coords]) for coords in sorted(points)]
+    reflections = [(root, -root, rs.reflection_perm(root)) for root in rs.positive_roots]
     edges = []
     for pt in points.values():
-        src = _vertex_id(pt)
-        for root in rs.positive_roots:
+        src = vid[pt.coords]
+        for root, neg, s in reflections:
+            # the reflection negates <pt, root>, and fixes pt where it is 0
             c = pair(pt, root)
-            rr = Fraction(2) * c / pair(root, root)
-            img = pt - rr * root
-            if img == pt:
-                continue
-            eta = root if pair(img, root) > 0 else -root
-            edges.append((src, _vertex_id(img), eta))
+            if c != 0:
+                edges.append((src, vid[s.act(pt).coords], root if c < 0 else neg))
     return GkmGraph(rs.ambient, vertices, edges)
 
 
@@ -414,29 +412,24 @@ class Orbit:
         self.spec = spec
         self.rs = spec.rs
         rs = self.rs
-        self.elements: list[SignedPerm] = []
-        seen = {SignedPerm.identity(rs.ambient).word}
+        # breadth first over the simple reflections: an element's depth is
+        # the fewest simple reflections it is a product of, its length
         frontier = [SignedPerm.identity(rs.ambient)]
-        self.elements.append(frontier[0])
+        self.elements: list[SignedPerm] = list(frontier)
+        self.length: dict[tuple, int] = {frontier[0].word: 0}
         while frontier:
             nxt = []
             for w in frontier:
                 for s in rs.simple_perms:
                     u = w * s
-                    if u.word not in seen:
-                        seen.add(u.word)
+                    if u.word not in self.length:
+                        self.length[u.word] = self.length[w.word] + 1
                         nxt.append(u)
-                        self.elements.append(u)
+            self.elements += nxt
             frontier = nxt
-        self.length: dict[tuple, int] = {
-            w.word: weyl_length(rs, w) for w in self.elements
-        }
         self.mu = spec.level_mu(spec.rank)
-        self.point_of: dict[tuple, Weight] = {
-            w.word: w.act(self.mu) for w in self.elements
-        }
         self.vid_of: dict[tuple, str] = {
-            word: _vertex_id(pt) for word, pt in self.point_of.items()
+            w.word: _vertex_id(w.act(self.mu)) for w in self.elements
         }
         self.word_of_vid: dict[str, tuple] = {}
         for word, vid in self.vid_of.items():
@@ -605,15 +598,19 @@ class Orbit:
         got = self._columns.get(q_vid)
         if got is not None:
             return got
-        ctype = self.spec.ctype
+        ctype, rank = self.spec.ctype, self.spec.rank
         if ctype in ("A", "C"):
             got = filtered_path_column(self.od, self.coordinate_filter, q_vid)
-        elif ctype == "D" and self.spec.rank == 3:
+        elif ctype == "D" and rank == 3:
             got = _d3_column_via_a3(self, q_vid)
-        elif ctype == "D" and self.spec.rank < 3:
+        elif ctype == "D" and rank < 3:
             raise GraphFormatError("type D typed engine needs rank at least 3")
+        elif rank == 1:  # type B, two fixed points
+            got = _rank1_b_column(self, q_vid)
         else:
-            got = _bd_column(self, q_vid)
+            # typed_entry from every source, over one fiber column
+            fiber_col = _fiber_column(self, q_vid)
+            got = {p: typed_entry(self, p, q_vid, fiber_col) for p in self.word_of_vid}
         self._columns[q_vid] = got
         return got
 
@@ -939,26 +936,24 @@ def _d3_column_via_a3(orbit: Orbit, q_vid: str) -> dict[str, Poly]:
     return {v: col[a].substitute(_A3_TO_D3, 3) for v, a in a_vid.items()}
 
 
-def _bd_column(orbit: Orbit, q_vid: str) -> dict[str, Poly]:
-    """Inductive formula for types B and D: pair the incomplete horizontal
-    paths into the fiber through q, keep the relevant ones with their
-    corrected contributions, and weigh fiber restrictions by them."""
-    if orbit.spec.ctype == "B" and orbit.spec.rank == 1:
-        return _rank1_b_column(orbit, q_vid)
-    fib = orbit.base_fibration()
-    b = fib.vertex_map[q_vid]
-    fiber_col = _fiber_column(orbit, q_vid)
-    m = orbit.rs.ambient
-    out: dict[str, Poly] = {}
-    for w in orbit.elements:
-        p_vid = orbit.vid_of[w.word]
-        total = Poly.zero(m)
-        for s_vid, qsum in orbit.paired_sums(p_vid, b).items():
-            mult = fiber_col[s_vid]
-            if not mult.is_zero():
-                total = total + qsum * mult
-        out[p_vid] = total
-    return out
+def typed_entry(orbit: Orbit, p, q, fiber_col: dict[str, Poly] | None = None) -> Poly:
+    """alpha_p(q) by the inductive formula for types B (rank two and up)
+    and D (rank four and up), computed alone: pair the incomplete
+    horizontal paths from p into the fiber through q, keep the relevant
+    ones with their corrected contributions, and weigh the fiber
+    restrictions at q (fiber_col, built here when not given) by them."""
+    ctype, rank = orbit.spec.ctype, orbit.spec.rank
+    if ctype not in ("B", "D") or rank < (2 if ctype == "B" else 4):
+        raise GraphFormatError(f"no single-entry typed formula for {ctype}{rank}")
+    p_vid, q_vid = orbit.vertex(p), orbit.vertex(q)
+    if fiber_col is None:
+        fiber_col = _fiber_column(orbit, q_vid)
+    total = Poly.zero(orbit.rs.ambient)
+    for s_vid, qsum in orbit.paired_sums(p_vid, orbit.base_fibration().vertex_map[q_vid]).items():
+        mult = fiber_col[s_vid]
+        if not mult.is_zero():
+            total = total + qsum * mult
+    return total
 
 
 def pairing_check(orbit: Orbit, s) -> dict:
