@@ -236,12 +236,6 @@ class Poly:
         return cls(n, {} if c == 0 else {(0,) * n: c}, _clean=True)
 
     @classmethod
-    def variable(cls, n: int, i: int) -> "Poly":
-        e = [0] * n
-        e[i] = 1
-        return cls(n, {tuple(e): 1}, _clean=True)
-
-    @classmethod
     def from_weight(cls, w: Weight) -> "Poly":
         n = len(w)
         terms = {}
@@ -404,8 +398,9 @@ class Poly:
             _EXP_POOL.clear()
         # writing self = sum_k x_piv^k a_k and quotient = sum_k x_piv^k q_k:
         #   a_k = c0 * q_{k-1} + rest * q_k   =>   q_{k-1} = (a_k - rest*q_k)/c0
+        # and at k = 0 the remainder a_0 - rest*q_0 must vanish
         qk: dict = {}
-        for k in range(top, 0, -1):
+        for k in range(top, -1, -1):
             num = dict(buckets.get(k, {}))
             for e, c in qk.items():
                 for i, rc in rest:
@@ -415,21 +410,13 @@ class Poly:
                         num.pop(e2, None)
                     else:
                         num[e2] = s
+            if k == 0:
+                break
             qk = {e: _div_scalar(c, c0) for e, c in num.items()}
             for e, v in qk.items():
                 e2 = e[:piv] + (k - 1,) + e[piv + 1:]
                 quot[_EXP_POOL.setdefault(e2, e2)] = v
-        # remainder check: a_0 - rest*q_0 must vanish
-        rem = dict(buckets.get(0, {}))
-        for e, c in qk.items():
-            for i, rc in rest:
-                e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
-                s = rem.get(e2, 0) - rc * c
-                if s == 0:
-                    rem.pop(e2, None)
-                else:
-                    rem[e2] = s
-        if rem:
+        if num:
             raise NotDivisible(f"not divisible by linear form {format_weight(w.coords)}")
         return Poly(self.n, quot, _clean=True)
 
@@ -491,30 +478,11 @@ class Poly:
                 else:
                     out[e2] = s
             return Poly(self.n, out, _clean=True)
-        # general replacement polynomial, expanded once per pivot power
-        terms = {}
-        for i, c in rest:
-            e = [0] * self.n
-            e[i] = 1
-            terms[tuple(e)] = _div_scalar(-c, c0)
-        repl = Poly(self.n, terms, _clean=True)
-        buckets: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            e2 = e[:piv] + (0,) + e[piv + 1:]
-            buckets.setdefault(e[piv], {})[e2] = c
-        powers = [Poly.const(self.n, 1)]
-        for _ in range(max(buckets)):
-            powers.append(powers[-1] * repl)
-        for k, bucket in buckets.items():
-            for e2, c2 in powers[k].terms.items():
-                for e, c in bucket.items():
-                    e3 = tuple(a + b for a, b in zip(e, e2))
-                    s = out.get(e3, 0) + c * c2
-                    if s == 0:
-                        out.pop(e3, None)
-                    else:
-                        out[e3] = s
-        return Poly(self.n, out, _clean=True)
+        # any other form: x_piv -> -(rest)/c0, every other variable fixed
+        images = [Weight(int(i == j) for i in range(self.n)) for j in range(self.n)]
+        images[piv] = Weight(0 if i == piv else _div_scalar(-c, c0)
+                             for i, c in enumerate(w.coords))
+        return self.substitute(images, self.n)
 
     def divisible_by_weight(self, w: Weight) -> bool:
         return self.restrict_zero(w).is_zero()

@@ -221,9 +221,7 @@ def defining_base_term(od: OrientedGraphData, fib: FibrationSpec,
         raise NotHorizontal(f"path {tuple(path)} has a vertical step")
     base = fib.base
     bs = fib.vertex_map[s]
-    value = LinFrac.one(od.rank)
-    for w in base.neg[bs]:
-        value = value.mul_weight(w)
+    value = base.lambda_minus_linfrac(bs)
     ms = base.graph.moment[bs]
     theta = 1
     for a, b in zip(path, path[1:]):

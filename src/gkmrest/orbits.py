@@ -517,15 +517,6 @@ class Orbit:
                     stack.append(u)
         return False
 
-    def lambda_minus_linfrac(self, w: SignedPerm) -> LinFrac:
-        """Product of the positive roots the inverse sends negative."""
-        inv = w.inverse()
-        out = LinFrac.one(self.rs.ambient)
-        for b in self.rs.positive_roots:
-            if _is_negative_form(inv.act(b)):
-                out = out.mul_weight(b)
-        return out
-
     # -- tower and base -----------------------------------------------------
 
     def tower(self) -> TowerSpec:
@@ -718,7 +709,7 @@ def formula_AC(orbit: Orbit, p, q) -> tuple[Poly, list[PathTerm]]:
         raise GraphFormatError("closed formula applies to types A and C only")
     m = orbit.rs.ambient
     wp, wq = orbit.element(p), orbit.element(q)
-    lam_q = orbit.lambda_minus_linfrac(wq)
+    lam_q = orbit.od.lambda_minus_linfrac(orbit.vid_of[wq.word])
     ledger: list[PathTerm] = []
     for path, slots in _monotone_cover_paths(orbit, wp, wq):
         value = lam_q

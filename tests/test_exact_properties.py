@@ -1,0 +1,263 @@
+"""Property tests of the exact core against sympy.
+
+Every engine rests on gkmrest.exact, so engine agreement cannot catch a
+fault there.  These tests check each operation on random polynomials (up to
+four variables and degree four, with integer, negative and half-integer
+coefficients) and random linear forms (one, two, or three or more nonzero
+coordinates) against sympy's own arithmetic."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+sp = pytest.importorskip("sympy")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from gkmrest.canonical import _frac_times  # noqa: E402
+from gkmrest.errors import NotDivisible  # noqa: E402
+from gkmrest.exact import (  # noqa: E402
+    LinFrac,
+    Poly,
+    Weight,
+    _as_exact,
+    frac_sum,
+    linfrac_sum_to_poly,
+)
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+XS = sp.symbols("x1:5")
+
+coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.integers(-9, 9).map(lambda k: _as_exact(Fraction(k, 2))),
+)
+nonzero = coefficients.filter(lambda c: c != 0)
+
+
+@st.composite
+def monomials(draw, n):
+    """An exponent vector of total degree at most four.  The degree bound
+    is sampled rather than drawn as an integer, which hypothesis would pull
+    towards zero and so towards constants."""
+    left, e = draw(st.sampled_from((2, 3, 4, 1, 0))), []
+    for _ in range(n):
+        e.append(draw(st.integers(0, left)))
+        left -= e[-1]
+    return tuple(e)
+
+
+def polys(n, max_terms=5):
+    """A polynomial with one to max_terms drawn terms."""
+    return st.dictionaries(monomials(n), coefficients, min_size=1,
+                           max_size=max_terms).map(lambda t: Poly(n, t))
+
+
+@st.composite
+def forms(draw, n, support=None):
+    """A nonzero form in n coordinates; support is its number of nonzero
+    coordinates, drawn from 1, 2 and 3..n when not given."""
+    if support is None:
+        support = draw(st.integers(1, n))
+    where = draw(st.permutations(range(n)))[:support]
+    coords = [0] * n
+    for i in where:
+        coords[i] = draw(nonzero)
+    return Weight(coords)
+
+
+def rat(c):
+    return sp.Rational(Fraction(c).numerator, Fraction(c).denominator)
+
+
+def sym(p: Poly):
+    return sp.Add(*(rat(c) * sp.Mul(*(x ** k for x, k in zip(XS, e)))
+                    for e, c in p.terms.items()))
+
+
+def sym_form(w: Weight):
+    return sp.Add(*(rat(c) * x for c, x in zip(w.coords, XS)))
+
+
+def sym_terms(expr, n: int) -> dict:
+    """The term dict of a sympy polynomial in x1..xn, to compare with
+    Poly.terms without going through Poly.__eq__."""
+    terms = sp.Poly(sp.expand(expr), *XS[:n]).terms()
+    return {e: Fraction(int(c.p), int(c.q)) for e, c in terms if c != 0}
+
+
+def divides(d, expr, n: int) -> bool:
+    """d divides expr in Q[x]: one polynomial is a Groebner basis of the
+    ideal it spans, so the division remainder is zero exactly then."""
+    return sp.div(sp.expand(expr), d, *XS[:n])[1] == 0
+
+
+@st.composite
+def poly_and_form(draw, support):
+    """A polynomial and a form with 1, 2, or (support 3) three or more
+    nonzero coordinates."""
+    n = draw(st.integers(support, 4))
+    if support == 3:
+        support = draw(st.integers(3, n))
+    return n, draw(polys(n)), draw(forms(n, support))
+
+
+SUPPORTS = [1, 2, 3]
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(polys(n), polys(n), forms(n), coefficients)))
+def test_ring_operations(args):
+    a, b, w, c = args
+    n = a.n
+    assert (a + b).terms == sym_terms(sym(a) + sym(b), n)
+    assert (a - b).terms == sym_terms(sym(a) - sym(b), n)
+    assert (a * b).terms == sym_terms(sym(a) * sym(b), n)
+    assert a.scale(c).terms == sym_terms(sym(a) * rat(c), n)
+    assert a.mul_weight(w).terms == sym_terms(sym(a) * sym_form(w), n)
+    assert (a == b) == (a.n == b.n and not sym_terms(sym(a) - sym(b), n))
+
+
+@pytest.mark.parametrize("support", SUPPORTS)
+@SETTINGS
+@given(data=st.data())
+def test_div_weight(support, data):
+    n, p, w = data.draw(poly_and_form(support))
+    assert p.mul_weight(w).div_weight(w).terms == p.terms
+    try:
+        q = p.div_weight(w)
+    except NotDivisible:
+        assert not divides(sym_form(w), sym(p), n)
+    else:
+        assert q.mul_weight(w).terms == p.terms
+        assert divides(sym_form(w), sym(p), n)
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(polys(n, 3), forms(n), forms(n))))
+def test_div_exact_by_two_forms(args):
+    p, u, v = args
+    n = p.n
+    d = Poly.from_weight(u).mul_weight(v)
+    assert p.mul_weight(u).mul_weight(v).div_exact(d).terms == p.terms
+    try:
+        q = p.div_exact(d)
+    except NotDivisible:
+        assert not divides(sym(d), sym(p), n)
+    else:
+        assert (q * d).terms == p.terms
+
+
+@pytest.mark.parametrize("support", SUPPORTS)
+@SETTINGS
+@given(data=st.data())
+def test_restrict_zero(support, data):
+    n, p, w = data.draw(poly_and_form(support))
+    if data.draw(st.integers(0, 3)) == 0:
+        p = Poly.const(n, data.draw(coefficients))  # zero or a constant
+    piv = next(i for i, c in enumerate(w.coords) if c)
+    form = sym_form(w)
+    x = XS[piv]
+    image = sp.expand(x - form / form.coeff(x))
+    got = p.restrict_zero(w)
+    assert got.terms == sym_terms(sym(p).subs(x, image), n)
+    assert all(e[piv] == 0 for e in got.terms)
+    assert p.divisible_by_weight(w) == divides(form, sym(p), n)
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    polys(n), st.integers(1, 4).flatmap(lambda m: st.lists(
+        st.lists(st.integers(-5, 5).map(lambda k: Fraction(k, 2)), min_size=m, max_size=m),
+        min_size=n, max_size=n)))))
+def test_substitute_half_integer_images(args):
+    p, rows = args
+    n, m = p.n, len(rows[0])
+    images = [Weight(r) for r in rows]
+    want = sym(p).subs({XS[i]: sym_form(w) for i, w in enumerate(images)},
+                       simultaneous=True)
+    got = p.substitute(images, m)
+    assert got.terms == sym_terms(want, m)
+    assert all(type(c) is int for c in got.terms.values() if Fraction(c).denominator == 1)
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(polys))
+def test_json_roundtrip(p):
+    back = Poly.from_json(p.n, p.to_json())
+    assert back.n == p.n and back.terms == p.terms
+
+
+@st.composite
+def linfrac_terms(draw):
+    """(LinFrac, Poly multiplier, sympy value of the LinFrac) triples, the
+    value built from the drawn scalar and forms.  With repair, each fraction
+    g/D with multiplier m is followed by -g/D with multiplier m + D*r, so
+    the sum is a polynomial."""
+    n = draw(st.integers(1, 4))
+    repair = draw(st.booleans())
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(nonzero)
+        f, value = LinFrac.one(n).mul_scalar(c), rat(c)
+        for _ in range(draw(st.integers(0, 1))):
+            w = draw(forms(n))
+            f, value = f.mul_weight(w), value * sym_form(w)
+        den = [draw(forms(n)) for _ in range(draw(st.integers(0, 2)))]
+        for w in den:
+            f, value = f.div_weight(w), value / sym_form(w)
+        mult = draw(polys(n, 2))
+        terms.append((f, mult, value))
+        if repair:
+            d = Poly.from_weight_product(n, den)
+            terms.append((f.mul_scalar(-1), mult + d * draw(polys(n, 2)), -value))
+    return n, terms
+
+
+def sym_linfrac(f: LinFrac):
+    num = sp.Mul(*(sym_form(Weight(w)) for w in f.num))
+    den = sp.Mul(*(sym_form(Weight(w)) for w in f.den))
+    return rat(f.scalar) * num / den
+
+
+@SETTINGS
+@given(linfrac_terms())
+def test_linfrac_sum_to_poly(args):
+    n, terms = args
+    total = sp.cancel(sp.together(sp.Add(*(value * sym(m) for _, m, value in terms))))
+    num, den = sp.fraction(total)
+    pairs = [(f, m) for f, m, _ in terms]
+    if den.free_symbols:
+        with pytest.raises(NotDivisible):
+            linfrac_sum_to_poly(pairs, n)
+    else:
+        assert linfrac_sum_to_poly(pairs, n).terms == sym_terms(num / den, n)
+
+
+def sym_over(num: Poly, den: tuple):
+    return sym(num) / sp.Mul(*(sym_form(Weight(w)) for w in den))
+
+
+@settings(SETTINGS, max_examples=20)
+@given(linfrac_terms())
+def test_linfrac_product_and_frac_sum(args):
+    """LinFrac products cancel (no form on both sides) and keep their value;
+    the column DP's _frac_times and frac_sum keep theirs, and frac_sum
+    leaves over only forms that do not divide its numerator."""
+    n, terms = args
+    prod = LinFrac.one(n)
+    for f, _, value in terms:
+        assert sp.cancel(sym_linfrac(f) - value) == 0
+        prod = prod * f
+    assert not set(prod.num) & set(prod.den)
+    assert sp.cancel(sym_linfrac(prod) - sp.Mul(*(value for _, _, value in terms))) == 0
+    fracs = [_frac_times((m, ()), f) for f, m, _ in terms]
+    for (_, m, value), s in zip(terms, fracs):
+        assert sp.cancel(sym_over(*s) - value * sym(m)) == 0
+    total, left = frac_sum(fracs, n)
+    assert list(left) == sorted(left)
+    assert sp.cancel(sym_over(total, left) - sp.Add(*(sym_over(*s) for s in fracs))) == 0
+    for w in set(left):
+        assert not divides(sym_form(Weight(w)), sym(total), n)

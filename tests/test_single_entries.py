@@ -1,5 +1,6 @@
 """Single typed B/D entries computed alone (typed_entry) against the typed
-columns, the one paired sum a D4 typed query needs, and the compact gz
+columns, single typed B1 and D3 entries read from their column, the one
+paired sum a D4 typed query needs, and the compact gz
 columns: one shared zero per variable count and pooled exponent tuples."""
 
 import io
@@ -13,7 +14,8 @@ from gkmrest.canonical import single_form_column
 from gkmrest.cli import main
 from gkmrest.errors import GraphFormatError
 from gkmrest.exact import Poly
-from gkmrest.orbits import Orbit, OrbitSpec, typed_column, typed_entry
+from gkmrest.oracle import engine_entries, engine_entry
+from gkmrest.orbits import Orbit, OrbitSpec, SignedPerm, typed_column, typed_entry
 
 
 def ids(orbit: Orbit) -> list[str]:
@@ -46,6 +48,25 @@ def test_typed_entry_refuses_other_types(ctype, rank):
     v = ids(orbit)[0]
     with pytest.raises(GraphFormatError):
         typed_entry(orbit, v, v)
+
+
+@pytest.mark.parametrize("ctype,rank,pairs", [("B", 1, 4), ("D", 3, 576)])
+def test_typed_single_entry_on_b1_and_d3_equals_gz(ctype, rank, pairs):
+    orbit = Orbit(OrbitSpec(ctype, rank))
+    gz = engine_entries(orbit, "gz")
+    assert len(gz) == pairs
+    for (p, q), val in gz.items():
+        assert engine_entry(orbit, "typed", p, q)[0] == val, (p, q)
+
+
+def test_d3_typed_restrict():
+    orbit = Orbit(OrbitSpec("D", 3))
+    p, q = orbit.vertex(SignedPerm((2, 1, 3))), orbit.vertex(SignedPerm((-3, -2, 1)))
+    with redirect_stdout(io.StringIO()) as out:
+        rc = main(["restrict", "--type", "D", "--rank", "3", "--p", "w:2,1,3",
+                   "--q", "w:-3,-2,1", "--engine", "typed"])
+    assert rc == 0
+    assert out.getvalue().strip() == str(engine_entries(orbit, "gz")[(p, q)]) == "x1 + x3"
 
 
 def test_d4_typed_restrict_makes_one_paired_sum(monkeypatch):
