@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 from .errors import (
     GraphFormatError,
@@ -138,19 +138,28 @@ def adjacent_restriction(od: OrientedGraphData, p: str, q: str) -> Poly:
 # Dynamic program driven by the moment values
 # ---------------------------------------------------------------------------
 
-def single_form_column(od: OrientedGraphData, q: str) -> dict[str, Poly]:
+def single_form_column(od: OrientedGraphData, q: str,
+                       within: Collection[str] | None = None) -> dict[str, Poly]:
     """All values alpha_p(q) for fixed q.
 
     Working down from q, each value is the edge-weighted combination of the
     values one index higher, divided by the moment difference to q.  Every
     division is exact; a vanishing moment difference against a nonzero
-    numerator signals corrupt input."""
+    numerator signals corrupt input.
+
+    within, when given, is a set of vertices closed under canonical edges,
+    such as up_closure(od, p); only its vertices are computed, walked in
+    od.order, each to its value in the full column.  A value is nonzero
+    only on a vertex that reaches q, so edge scalars are then only asked of
+    edges inside the interval [p, q], and an error elsewhere in the graph
+    is not met."""
     _require_index_increasing(od)
     g = od.graph
     n = od.rank
     col: dict[str, Poly] = {}
     mq = g.moment[q]
-    for v in reversed(od.order):
+    order = od.order if within is None else [v for v in od.order if v in within]
+    for v in reversed(order):
         if v == q:
             col[v] = od.lambda_minus(q)
             continue
@@ -168,6 +177,18 @@ def single_form_column(od: OrientedGraphData, q: str) -> dict[str, Poly]:
                 f"moment values of {v} and {q} coincide on a live path")
         col[v] = total.div_weight(diff)
     return col
+
+
+def up_closure(od: OrientedGraphData, p: str) -> set[str]:
+    """The vertices reachable from p along canonical edges, p included:
+    the set single_form_column needs for the entries at p."""
+    seen, stack = {p}, [p]
+    while stack:
+        for u in od.up[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +513,14 @@ def _solve_congruences(
     return g
 
 
-def brute_row(od: OrientedGraphData, p: str) -> dict[str, Poly]:
+def brute_row(od: OrientedGraphData, p: str, until: str | None = None) -> dict[str, Poly]:
     """Row of values alpha_p(.) obtained purely from the defining
     conditions: prescribed value at p, vanishing at indices <= index(p),
     homogeneity, and the divisibility congruences along every edge,
-    processed upward in phi."""
+    processed upward in phi.  Each value only depends on those below it,
+    so with until the row stops once the value at that vertex is solved:
+    the vertices up to it in od.order get their values in the full row,
+    and no vertex above it is looked at."""
     g = od.graph
     n = od.rank
     d = od.lam[p]
@@ -523,6 +547,8 @@ def brute_row(od: OrientedGraphData, p: str) -> dict[str, Poly]:
                     raise NoSolution(
                         f"imposed value at {v} violates the congruence along ({v},...)")
         row[v] = val
+        if v == until:
+            break
     return row
 
 

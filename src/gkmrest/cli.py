@@ -26,7 +26,7 @@ from .gkm import (
     export_dot,
     validate_gkm,
 )
-from .oracle import ENGINES, cross_validate, engine_entries, engine_entry
+from .oracle import ENGINES, cross_validate, engine_entries, engine_entry, oriented_graph
 from .orbits import Orbit, OrbitSpec, SignedPerm, build_orbit_gkm
 
 
@@ -53,36 +53,39 @@ def _read_graph(path: str) -> GkmGraph:
 
 
 def _load_target(args):
-    """Return (target, oriented_data); the target is the Orbit, or on graph
-    input the oriented graph itself."""
+    """The Orbit, whose graph is built on first use, or on graph input the
+    oriented graph itself."""
     if getattr(args, "graph", None):
         g = _read_graph(args.graph)
         rep = validate_gkm(g)
         if not rep.ok:
             raise GkmError(f"invalid graph:\n{rep}")
-        od = OrientedGraphData(g, choose_generic_xi(g, seed=args.seed))
-        return od, od
+        return OrientedGraphData(g, choose_generic_xi(g, seed=args.seed))
     if args.ctype is None or args.rank is None:
         raise GkmError("need --graph or both --type and --rank")
     mu = None
     if args.mu:
         mu = [part.strip() for part in args.mu.split(",")]
-    orbit = Orbit(OrbitSpec(args.ctype, args.rank, mu=mu))
-    return orbit, orbit.od
+    return Orbit(OrbitSpec(args.ctype, args.rank, mu=mu))
 
 
-def _resolve_vertex(target, od, text: str) -> str:
+def _resolve_vertex(target, text: str) -> str:
     """Vertex addressing: a literal vertex id, moment coordinates
-    'a,b,..', or, on orbits, a signed one-line Weyl element 'w:2,-1'."""
-    if isinstance(target, Orbit) and text.startswith("w:"):
-        return target.vertex(SignedPerm.from_string(text[2:]))
-    if text in od.graph.moment:
+    'a,b,..', or, on orbits, a signed one-line Weyl element 'w:2,-1'.
+    Orbit vertices are looked up among the group's, without the graph."""
+    if isinstance(target, Orbit):
+        if text.startswith("w:"):
+            return target.vertex(SignedPerm.from_string(text[2:]))
+        ids = target.word_of_vid
+    else:
+        ids = target.graph.moment
+    if text in ids:
         return text
     try:
         key = ",".join(format_scalar(c) for c in Weight(text.split(",")).coords)
     except (ValueError, ZeroDivisionError):
         key = None
-    if key is not None and key in od.graph.moment:
+    if key is not None and key in ids:
         return key
     raise GkmError(f"no vertex with moment {text!r}")
 
@@ -100,9 +103,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_restrict(args) -> int:
-    target, od = _load_target(args)
-    p = _resolve_vertex(target, od, args.p)
-    q = _resolve_vertex(target, od, args.q)
+    target = _load_target(args)
+    p = _resolve_vertex(target, args.p)
+    q = _resolve_vertex(target, args.q)
     value, ledger = engine_entry(target, args.engine, p, q)
     if args.format == "json":
         out = {"p": p, "q": q, "engine": args.engine, "value": value.to_json()}
@@ -122,8 +125,9 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_table(args) -> int:
-    target, od = _load_target(args)
-    table = RestrictionTable(od, engine_entries(target, args.engine, jobs=args.jobs))
+    target = _load_target(args)
+    table = RestrictionTable(oriented_graph(target),
+                             engine_entries(target, args.engine, jobs=args.jobs))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(table.to_csv() + "\n")
@@ -147,7 +151,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    target, _ = _load_target(args)
+    target = _load_target(args)
     engines = args.engines.split(",") if args.engines else None
     report = cross_validate(target, engines, jobs=args.jobs)
     if args.format == "json":
@@ -161,7 +165,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_export(args) -> int:
-    _, od = _load_target(args)
+    od = oriented_graph(_load_target(args))
     if args.dot:
         print(export_dot(od, canonical=args.canonical))
     else:

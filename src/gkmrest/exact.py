@@ -2,10 +2,15 @@
 polynomials, and fractions whose numerator and denominator are products of
 linear forms.
 
-All coefficients are exact rationals.  Integer coefficients are kept as
-plain Python ints (arbitrary precision) and only promoted to ``Fraction``
-when an operation actually produces a non-integer; the two interoperate
-transparently.
+All coefficients are exact rationals: Python ints (arbitrary precision)
+and ``Fraction``s, which interoperate transparently.  An integral value is
+not always an int.  Scalar division (``_div_scalar``, which every
+polynomial division goes through), ``Poly.substitute`` and
+``Poly.with_int_coefficients`` return ints for integral values; ``+``,
+``*``, ``scale``, ``mul_weight`` and the one- and two-coordinate paths of
+``restrict_zero`` keep whatever their operands give, so half-integers that
+combine to an integer leave a ``Fraction(k, 1)``.  Equality, hashing and
+``format_scalar`` treat both alike.
 
 Conventions:
   * a ``Weight`` is a covector in m coordinates x_1..x_m;
@@ -690,9 +695,6 @@ class LinFrac:
         prim, scale = w.primitive()
         return LinFrac(self.n, self.scalar / scale, self.num,
                        _merge_sorted(self.den, (prim,)))
-
-    def is_polynomial(self) -> bool:
-        return not self.den
 
     def to_poly(self) -> Poly:
         if self.den:

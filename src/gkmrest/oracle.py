@@ -25,6 +25,7 @@ from .canonical import (
     ordered_filter,
     restriction_ordered,
     single_form_column,
+    up_closure,
 )
 from .errors import GkmError, SubwordCapExceeded
 from .exact import Poly
@@ -109,12 +110,13 @@ def billey_column(orbit: Orbit, q: str) -> dict[str, Poly]:
 
 @dataclass(frozen=True)
 class Engine:
-    """How one engine answers.  entry(orbit, od, p, q) gives (value,
-    ledger), the ledger being its path terms or None.  slicer(orbit, od)
-    does the per-table set-up once and returns the function from a vertex
-    to its column (values keyed by p) when by_column, else to its row
-    (values keyed by q).  orbit is None on a plain graph, which
-    orbit_only engines refuse."""
+    """How one engine answers.  entry(target, p, q) gives (value, ledger)
+    on an Orbit or an OrientedGraphData, the ledger being its path terms or
+    None; it reads only what its entry needs, so billey builds no graph.
+    slicer(orbit, od) does the per-table set-up once and returns the
+    function from a vertex to its column (values keyed by p) when
+    by_column, else to its row (values keyed by q).  orbit is None on a
+    plain graph, which orbit_only engines refuse."""
 
     orbit_only: bool
     entry: Callable
@@ -122,26 +124,40 @@ class Engine:
     slicer: Callable
 
 
-def _ordered_classes(orbit: Orbit | None, od: OrientedGraphData) -> list:
+def _ordered_classes(target) -> list:
     """The ordered engine's classes: the tower's pulled-back moments on an
     orbit, the moment map alone on a plain graph."""
-    if orbit is None:
-        return [dict(od.graph.moment)]
-    return [lvl.moment for lvl in orbit.tower().levels]
+    if isinstance(target, Orbit):
+        return [lvl.moment for lvl in target.tower().levels]
+    return [dict(target.graph.moment)]
 
 
-def _typed_entry(orbit: Orbit, od, p: str, q: str):
+def oriented_graph(target) -> OrientedGraphData:
+    """The oriented graph of an Orbit (built on first use) or of an
+    OrientedGraphData, which is its own."""
+    return target.od if isinstance(target, Orbit) else target
+
+
+def _gz_entry(target, p: str, q: str):
+    """The column's dynamic program over the vertices p reaches."""
+    od = oriented_graph(target)
+    return single_form_column(od, q, up_closure(od, p))[p], None
+
+
+def _typed_entry(orbit: Orbit, p: str, q: str):
     """A and C by their closed formula, B and D from rank two and four by
-    typed_entry alone; the rest (B1, D3 through A3) read the column."""
+    typed_entry alone; the rest (B1, D3 through A3) take their one entry
+    of the column (Orbit.column_at)."""
     ctype, rank = orbit.spec.ctype, orbit.spec.rank
     if ctype in ("A", "C"):
         return formula_AC(orbit, p, q)
     if rank >= (2 if ctype == "B" else 4):
         return typed_entry(orbit, p, q), None
-    return typed_column(orbit, q)[p], None
+    p_vid = orbit.vertex(p)
+    return orbit.column_at(orbit.vertex(q), [p_vid])[p_vid], None
 
 
-def _billey_entry(orbit: Orbit, od, p: str, q: str):
+def _billey_entry(orbit: Orbit, p: str, q: str):
     return billey_restriction(orbit.rs, SignedPerm(orbit.word_of_vid[p]),
                               SignedPerm(orbit.word_of_vid[q])), None
 
@@ -161,45 +177,42 @@ def _billey_slicer(orbit: Orbit, od) -> Callable:
 # that rebinds the module's names sees every engine call
 ENGINES: dict[str, Engine] = {
     "gz": Engine(
-        False, lambda orbit, od, p, q: (single_form_column(od, q)[p], None),
+        False, _gz_entry,
         by_column=True, slicer=lambda orbit, od: partial(single_form_column, od)),
     "ordered": Engine(
-        False, lambda orbit, od, p, q: restriction_ordered(
-            od, p, q, _ordered_classes(orbit, od)),
+        False, lambda t, p, q: restriction_ordered(oriented_graph(t), p, q, _ordered_classes(t)),
         by_column=True, slicer=lambda orbit, od: partial(
-            filtered_path_column, od, ordered_filter(od, _ordered_classes(orbit, od)))),
+            filtered_path_column, od, ordered_filter(od, _ordered_classes(orbit or od)))),
     "tower": Engine(
-        True, lambda orbit, od, p, q: tower_restriction(od, orbit.tower(), p, q),
+        True, lambda orbit, p, q: tower_restriction(orbit.od, orbit.tower(), p, q),
         by_column=True, slicer=lambda orbit, od: partial(
             filtered_path_column, od, tower_filter(od, orbit.tower()))),
     "typed": Engine(
         True, _typed_entry,
         by_column=True, slicer=lambda orbit, od: partial(typed_column, orbit)),
+    # an entry stops its row at q
     "brute": Engine(
-        False, lambda orbit, od, p, q: (brute_row(od, p)[q], None),
+        False, lambda t, p, q: (brute_row(oriented_graph(t), p, q)[q], None),
         by_column=False, slicer=lambda orbit, od: partial(brute_row, od)),
     "billey": Engine(True, _billey_entry, by_column=True, slicer=_billey_slicer),
 }
 
 
-def _resolve(target, engine: str) -> tuple[Engine, Orbit | None, OrientedGraphData]:
-    """The record of `engine`, the orbit (None on a plain graph) and the
-    oriented graph of target.  Raises a GkmError naming the engine when it
-    is unknown, or needs an orbit and target is a plain graph."""
+def _record(target, engine: str) -> Engine:
+    """The record of `engine`.  Raises a GkmError naming the engine when
+    it is unknown, or needs an orbit and target is a plain graph."""
     record = ENGINES.get(engine)
     if record is None:
         raise GkmError(f"unknown engine {engine!r}")
-    orbit = target if isinstance(target, Orbit) else None
-    if record.orbit_only and orbit is None:
+    if record.orbit_only and not isinstance(target, Orbit):
         raise GkmError(f"the {engine} engine needs an orbit input, not a graph")
-    return record, orbit, target.od if orbit is not None else target
+    return record
 
 
 def engine_entry(target, engine: str, p: str, q: str) -> tuple[Poly, list | None]:
     """alpha_p(q) by one engine on an Orbit or OrientedGraphData, with the
     engine's path ledger (None for an engine without one)."""
-    record, orbit, od = _resolve(target, engine)
-    return record.entry(orbit, od, p, q)
+    return _record(target, engine).entry(target, p, q)
 
 
 def engine_entries(target, engine: str, jobs: int = 1) -> dict[tuple[str, str], Poly]:
@@ -207,10 +220,11 @@ def engine_entries(target, engine: str, jobs: int = 1) -> dict[tuple[str, str], 
     engine's slicer does the per-table set-up once, in this process; the
     columns or rows are then computed in min(jobs, vertices) forked workers
     when that is more than one.  The result does not depend on jobs."""
-    record, orbit, od = _resolve(target, engine)
+    record = _record(target, engine)
     if jobs < 1:
         raise GkmError(f"jobs must be at least 1, got {jobs}")
-    part = record.slicer(orbit, od)
+    od = oriented_graph(target)
+    part = record.slicer(target if isinstance(target, Orbit) else None, od)
     by_column = record.by_column
     ids = od.graph.ids
     workers = min(jobs, len(ids))
@@ -310,6 +324,7 @@ def cross_validate(target, engines: Sequence[str] | None = None,
     if len(engines) < 2 or len(set(engines)) < len(engines):
         raise GkmError("compare needs two or more distinct engines, "
                        f"got {','.join(engines)!r}")
-    ods = [_resolve(target, e)[2] for e in engines]  # every name checked before any run
+    for e in engines:  # every name checked before any run
+        _record(target, e)
     tables = {e: engine_entries(target, e, jobs=jobs) for e in engines}
-    return compare_tables(tables, ods[0].graph.ids)
+    return compare_tables(tables, oriented_graph(target).graph.ids)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .canonical import PathFilter, PathTerm, RestrictionTable, filtered_path_column, ordered_filter
 from .errors import GraphFormatError, ThetaNotOne
@@ -61,6 +61,14 @@ class SignedPerm:
     @property
     def n(self) -> int:
         return len(self.word)
+
+    @classmethod
+    def of_word(cls, word: tuple) -> "SignedPerm":
+        """The element of a tuple already known to be a signed
+        permutation, taken as it is."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "word", word)
+        return w
 
     @classmethod
     def identity(cls, n: int) -> "SignedPerm":
@@ -103,12 +111,6 @@ class SignedPerm:
             b = self.word[abs(a) - 1]
             word.append(b if a > 0 else -b)
         return SignedPerm(word)
-
-    def inverse(self) -> "SignedPerm":
-        out = [0] * len(self.word)
-        for i, a in enumerate(self.word):
-            out[abs(a) - 1] = (i + 1) if a > 0 else -(i + 1)
-        return SignedPerm(out)
 
 
 class RootSystem:
@@ -356,38 +358,71 @@ class OrbitSpec:
 
 
 def _vertex_id(point: Weight) -> str:
-    return ",".join(format_scalar(c) for c in point.coords)
+    return _format_point(point.coords)
 
 
-def build_orbit_gkm(spec: OrbitSpec, level: int | None = None) -> GkmGraph:
+def _format_point(coords: tuple) -> str:
+    return ",".join(format_scalar(c) for c in coords)
+
+
+def _index_table(perm: SignedPerm) -> tuple[tuple[int, bool], ...]:
+    """Entry k of the word of w * perm is entry |perm[k]| of w's word,
+    negated when perm[k] < 0: (index, negate) pairs for _act.  A
+    reflection is its own inverse, so for one the same table is also its
+    action on coordinate tuples."""
+    return tuple((abs(a) - 1, a < 0) for a in perm.word)
+
+
+def _act(table, pt: tuple) -> tuple:
+    return tuple([-pt[i] if neg else pt[i] for i, neg in table])
+
+
+def build_orbit_gkm(spec: OrbitSpec, level: int | None = None,
+                    vids: Mapping[tuple, str] | None = None) -> GkmGraph:
     """Orbit graph at a tower level (default: the top level): vertices are
     the orbit points, edges join reflection pairs, and each edge carries
-    the root that pairs positively with its head."""
+    the root that pairs positively with its head.  vids, when given, maps
+    each point's coordinates to its vertex id, as Orbit formats them.
+
+    The orbit is walked on integer tuples (the point times the common
+    denominator of its coordinates), the reflections acting through index
+    tables, and a pairing with a root reads only the root's nonzero
+    coordinates."""
     rs = spec.rs
     mu = spec.level_mu(level if level is not None else spec.rank)
-    points: dict[tuple, Weight] = {}
-    frontier = [mu]
-    points[mu.coords] = mu
+    den = 1
+    for c in mu.coords:
+        if isinstance(c, Fraction):
+            den = den * c.denominator // gcd(den, c.denominator)
+    start = tuple(int(c * den) for c in mu.coords)
+    simple = [_index_table(s) for s in rs.simple_perms]
+    points = {start: None}  # the orbit in breadth-first order
+    frontier = [start]
     while frontier:
         nxt = []
         for pt in frontier:
-            for s in rs.simple_perms:
-                img = s.act(pt)
-                if img.coords not in points:
-                    points[img.coords] = img
+            for table in simple:
+                img = _act(table, pt)
+                if img not in points:
+                    points[img] = None
                     nxt.append(img)
         frontier = nxt
-    vid = {coords: _vertex_id(pt) for coords, pt in points.items()}
-    vertices = [(vid[coords], points[coords]) for coords in sorted(points)]
-    reflections = [(root, -root, rs.reflection_perm(root)) for root in rs.positive_roots]
+    exact = {pt: tuple(c // den if c % den == 0 else Fraction(c, den) for c in pt)
+             for pt in points}
+    vid = {pt: vids[coords] if vids is not None else _format_point(coords)
+           for pt, coords in exact.items()}
+    vertices = [(vid[pt], Weight.of_exact(exact[pt])) for pt in sorted(points)]
+    reflections = [(tuple((i, c) for i, c in enumerate(root.coords) if c != 0),
+                    root, -root, _index_table(rs.reflection_perm(root)))
+                   for root in rs.positive_roots]
     edges = []
-    for pt in points.values():
-        src = vid[pt.coords]
-        for root, neg, s in reflections:
+    for pt in points:
+        src = vid[pt]
+        for support, root, neg, table in reflections:
             # the reflection negates <pt, root>, and fixes pt where it is 0
-            c = pair(pt, root)
+            c = sum(pt[i] * a for i, a in support)
             if c != 0:
-                edges.append((src, vid[s.act(pt).coords], root if c < 0 else neg))
+                edges.append((src, vid[_act(table, pt)], root if c < 0 else neg))
     return GkmGraph(rs.ambient, vertices, edges)
 
 
@@ -413,33 +448,31 @@ class Orbit:
         self.rs = spec.rs
         rs = self.rs
         # breadth first over the simple reflections: an element's depth is
-        # the fewest simple reflections it is a product of, its length
-        frontier = [SignedPerm.identity(rs.ambient)]
-        self.elements: list[SignedPerm] = list(frontier)
-        self.length: dict[tuple, int] = {frontier[0].word: 0}
+        # the fewest simple reflections it is a product of, its length.
+        # The products w * s are taken on the words.
+        right = [_index_table(s) for s in rs.simple_perms]
+        frontier = [SignedPerm.identity(rs.ambient).word]
+        self.length: dict[tuple, int] = {frontier[0]: 0}
         while frontier:
             nxt = []
             for w in frontier:
-                for s in rs.simple_perms:
-                    u = w * s
-                    if u.word not in self.length:
-                        self.length[u.word] = self.length[w.word] + 1
+                lu = self.length[w] + 1
+                for table in right:
+                    u = _act(table, w)
+                    if u not in self.length:
+                        self.length[u] = lu
                         nxt.append(u)
-            self.elements += nxt
             frontier = nxt
+        self.elements: list[SignedPerm] = [SignedPerm.of_word(w) for w in self.length]
         self.mu = spec.level_mu(spec.rank)
-        self.vid_of: dict[tuple, str] = {
-            w.word: _vertex_id(w.act(self.mu)) for w in self.elements
-        }
-        self.word_of_vid: dict[str, tuple] = {}
-        for word, vid in self.vid_of.items():
-            if vid in self.word_of_vid:
-                raise GraphFormatError("orbit point hit twice; mu is not regular")
-            self.word_of_vid[vid] = word
+        points = {w.word: w.act(self.mu).coords for w in self.elements}
+        # point coordinates -> vertex id, each formatted once
+        self._vid_at: dict[tuple, str] = {pt: _format_point(pt) for pt in points.values()}
+        if len(self._vid_at) < len(points):
+            raise GraphFormatError("orbit point hit twice; mu is not regular")
+        self.vid_of: dict[tuple, str] = {w: self._vid_at[pt] for w, pt in points.items()}
+        self.word_of_vid: dict[str, tuple] = {vid: w for w, vid in self.vid_of.items()}
         self.xi = orbit_xi(spec)
-        graph = build_orbit_gkm(spec)
-        self.od = OrientedGraphData(graph, self.xi)
-        self._certify()
         self._covers: dict[tuple, tuple] = {}
         self._base_od: OrientedGraphData | None = None
         self._base_fib: FibrationSpec | None = None
@@ -452,8 +485,15 @@ class Orbit:
         self._fiber_children: dict[str, tuple[Orbit, list[int], dict[str, str]]] = {}
         self._paired_sums: dict[tuple[str, str], dict[str, Poly]] = {}
 
-    def _certify(self):
-        od = self.od
+    @cached_property
+    def od(self) -> OrientedGraphData:
+        """The oriented top-level graph, built and certified on first use;
+        the group-side lookups and the billey engine never need it."""
+        od = OrientedGraphData(build_orbit_gkm(self.spec, vids=self._vid_at), self.xi)
+        self._certify(od)
+        return od
+
+    def _certify(self, od: OrientedGraphData):
         phis = sorted(od.phi.values())
         for a, b in zip(phis, phis[1:]):
             if a == b:
@@ -605,6 +645,15 @@ class Orbit:
         self._columns[q_vid] = got
         return got
 
+    def column_at(self, q_vid: str, sources: Iterable[str]) -> dict[str, Poly]:
+        """The typed values at q_vid from the given sources alone.  A kept
+        column is read; rank-three type D translates only these entries
+        from type A, and the other types read the column."""
+        if q_vid not in self._columns and (self.spec.ctype, self.spec.rank) == ("D", 3):
+            return _d3_column_via_a3(self, q_vid, sources)
+        col = self.column(q_vid)
+        return {p: col[p] for p in sources}
+
     def paired_sums(self, p_vid: str, b: str) -> dict[str, Poly]:
         """For each fiber endpoint s over the base vertex b, the sum of
         corrected contributions of the relevant horizontal paths from p;
@@ -638,8 +687,10 @@ class Orbit:
     @cached_property
     def a3_vertices(self) -> dict[str, str]:
         """Rank-three type D only: each vertex's vertex in the type A orbit
-        of the translated point (see _d3_column_via_a3)."""
-        return {v: _vertex_id(_d3_point_to_a3(pt)) for v, pt in self.od.graph.moment.items()}
+        of the translated point (see _d3_column_via_a3), in graph order;
+        read off the points, without the graph."""
+        return {self._vid_at[pt]: _vertex_id(_d3_point_to_a3(Weight.of_exact(pt)))
+                for pt in sorted(self._vid_at)}
 
 
 def canonical_graph_orbit(orbit: Orbit, verify_theta: bool = True) -> CanonicalGraph:
@@ -907,24 +958,34 @@ def _rank1_b_column(orbit: Orbit, q_vid: str) -> dict[str, Poly]:
     return {lo: Poly.const(m, 1), hi: od.lambda_minus(hi)}
 
 
-def _fiber_column(orbit: Orbit, q_vid: str) -> dict[str, Poly]:
-    """Fiber restrictions alpha-hat_s(q) for all s in the fiber through q,
-    solved on the child orbit of rank one less (same type) in the free
-    coordinates, then re-embedded into the ambient coordinates."""
+def _fiber_column(orbit: Orbit, q_vid: str,
+                  sources: Iterable[str] | None = None) -> dict[str, Poly]:
+    """Fiber restrictions alpha-hat_s(q) for the sources s in the fiber
+    through q (all of it when None), solved on the child orbit of rank one
+    less (same type) in the free coordinates, then re-embedded into the
+    ambient coordinates.  Only the given sources are translated and
+    embedded; the full fiber column is kept on the child."""
     child, free, vid_map = orbit.fiber_child(orbit.base_fibration().vertex_map[q_vid])
-    child_col = typed_column(child, vid_map[q_vid])
+    if sources is None:
+        sources = vid_map
+        child_col = typed_column(child, vid_map[q_vid])
+    else:
+        child_col = child.column_at(vid_map[q_vid], [vid_map[s] for s in sources])
     m = orbit.rs.ambient
-    return {v: _embed_poly(child_col[cv], free, m) for v, cv in vid_map.items()}
+    return {s: _embed_poly(child_col[vid_map[s]], free, m) for s in sources}
 
 
-def _d3_column_via_a3(orbit: Orbit, q_vid: str) -> dict[str, Poly]:
+def _d3_column_via_a3(orbit: Orbit, q_vid: str,
+                      sources: Iterable[str] | None = None) -> dict[str, Poly]:
     """Rank-three type D translated through the rank-three type A orbit:
     points map through the coordinate identification, values map back by
-    substituting the inverse forms."""
+    substituting the inverse forms; for the given sources only (all
+    vertices when None)."""
     a_orbit = orbit.child("A", 3, _d3_point_to_a3(orbit.mu))
     a_vid = orbit.a3_vertices
     col = a_orbit.column(a_vid[q_vid])
-    return {v: col[a].substitute(_A3_TO_D3, 3) for v, a in a_vid.items()}
+    return {v: col[a_vid[v]].substitute(_A3_TO_D3, 3)
+            for v in (a_vid if sources is None else sources)}
 
 
 def typed_entry(orbit: Orbit, p, q, fiber_col: dict[str, Poly] | None = None) -> Poly:
@@ -932,15 +993,17 @@ def typed_entry(orbit: Orbit, p, q, fiber_col: dict[str, Poly] | None = None) ->
     and D (rank four and up), computed alone: pair the incomplete
     horizontal paths from p into the fiber through q, keep the relevant
     ones with their corrected contributions, and weigh the fiber
-    restrictions at q (fiber_col, built here when not given) by them."""
+    restrictions at q by them.  fiber_col, when not given, is built here
+    for the fiber endpoints the paired sums name, and for no other."""
     ctype, rank = orbit.spec.ctype, orbit.spec.rank
     if ctype not in ("B", "D") or rank < (2 if ctype == "B" else 4):
         raise GraphFormatError(f"no single-entry typed formula for {ctype}{rank}")
     p_vid, q_vid = orbit.vertex(p), orbit.vertex(q)
-    if fiber_col is None:
-        fiber_col = _fiber_column(orbit, q_vid)
+    sums = orbit.paired_sums(p_vid, orbit.base_fibration().vertex_map[q_vid])
+    if fiber_col is None and sums:
+        fiber_col = _fiber_column(orbit, q_vid, sums)
     total = Poly.zero(orbit.rs.ambient)
-    for s_vid, qsum in orbit.paired_sums(p_vid, orbit.base_fibration().vertex_map[q_vid]).items():
+    for s_vid, qsum in sums.items():
         mult = fiber_col[s_vid]
         if not mult.is_zero():
             total = total + qsum * mult

@@ -213,16 +213,16 @@ class TestRestrict:
         assert code == 2
 
     def test_brute_reads_one_row(self, capsys, monkeypatch):
-        """restrict --engine brute solves only the row of p, and gives the
-        entry of the full brute table."""
+        """restrict --engine brute solves only the row of p, up to q, and
+        gives the entry of the full brute table."""
         import gkmrest.oracle as oracle
         from gkmrest.orbits import Orbit, OrbitSpec
         calls = []
         original = oracle.brute_row
 
-        def counting(od, p):
-            calls.append(p)
-            return original(od, p)
+        def counting(od, p, until=None):
+            calls.append((p, until))
+            return original(od, p, until)
 
         monkeypatch.setattr(oracle, "brute_row", counting)
         for ctype, rank in (("B", 2), ("A", 3)):
@@ -236,7 +236,7 @@ class TestRestrict:
                                 "--format", "json")
                 assert code == 0
                 assert json.loads(out)["value"] == table.get(p, q).to_json()
-                assert calls == [p]
+                assert calls == [(p, q)]
 
     def test_output_reparses(self, capsys):
         for engine in ("gz", "typed", "brute"):

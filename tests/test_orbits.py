@@ -72,7 +72,10 @@ class TestSignedPerm:
             a, b = rand_perm(), rand_perm()
             v = Weight([rng.randint(-3, 3) for _ in range(n)])
             assert (a * b).act(v) == a.act(b.act(v))
-            assert (a * a.inverse()).word == SignedPerm.identity(n).word
+            inv = [0] * n
+            for i, x in enumerate(a.word):
+                inv[abs(x) - 1] = (i + 1) if x > 0 else -(i + 1)
+            assert (a * SignedPerm(inv)).word == SignedPerm.identity(n).word
 
     def test_invalid(self):
         with pytest.raises(GraphFormatError):
