@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from functools import cache
 
 from .canonical import RestrictionTable
 from .errors import GkmError, GraphFormatError
@@ -183,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="check the graph axioms")
     p_val.add_argument("--graph", required=True)
     p_val.add_argument("--seed", type=int, default=0)
-    p_val.set_defaults(func=cmd_validate)
 
     p_res = sub.add_parser("restrict", help="one restriction value")
     _add_source_args(p_res)
@@ -192,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_res.add_argument("--engine", choices=ENGINES, default="gz")
     p_res.add_argument("--ledger", action="store_true", help="print per-path terms")
     p_res.add_argument("--format", choices=("text", "json"), default="text")
-    p_res.set_defaults(func=cmd_restrict)
 
     p_tab = sub.add_parser("table", help="full restriction table")
     _add_source_args(p_tab)
@@ -201,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--csv", help="write a CSV summary to a file")
     p_tab.add_argument("--jobs", type=int, default=1,
                        help="worker processes for a table computed by columns or rows")
-    p_tab.set_defaults(func=cmd_table)
 
     p_orb = sub.add_parser("orbit", help="emit an orbit graph")
     p_orb.add_argument("--type", dest="ctype", required=True,
@@ -211,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb.add_argument("--level", type=int)
     p_orb.add_argument("--seed", type=int, default=0)
     p_orb.add_argument("--format", choices=("json", "dot"), default="json")
-    p_orb.set_defaults(func=cmd_orbit)
 
     p_cmp = sub.add_parser("compare", help="multi-engine agreement report")
     _add_source_args(p_cmp)
@@ -219,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--format", choices=("text", "json"), default="text")
     p_cmp.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the tables computed by columns or rows")
-    p_cmp.set_defaults(func=cmd_compare)
 
     p_exp = sub.add_parser("export", help="graph export")
     _add_source_args(p_exp)
@@ -228,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--json", action="store_true")
     p_exp.add_argument("--canonical", action="store_true",
                        help="restrict the DOT output to index-raising edges")
-    p_exp.set_defaults(func=cmd_export)
     return ap
 
 
@@ -253,13 +248,21 @@ def _merge_value_flags(argv):
     return out
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    ap = build_parser()
-    args = ap.parse_args(_merge_value_flags(argv))
+    args = _parser().parse_args(_merge_value_flags(argv))
+    # the command is looked up by name on each call, not read from the
+    # parser, which keeps the functions bound when it was built
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (GkmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -417,7 +417,10 @@ class Poly:
                         num[e2] = s
             if k == 0:
                 break
-            qk = {e: _div_scalar(c, c0) for e, c in num.items()}
+            if c0 == 1:  # every primitive root form: only Fractions need normalising
+                qk = {e: c if type(c) is int else _div_scalar(c, 1) for e, c in num.items()}
+            else:
+                qk = {e: _div_scalar(c, c0) for e, c in num.items()}
             for e, v in qk.items():
                 e2 = e[:piv] + (k - 1,) + e[piv + 1:]
                 quot[_EXP_POOL.setdefault(e2, e2)] = v

@@ -22,7 +22,7 @@ from .errors import (
     NonIntegerTheta,
     NotScalarRatio,
 )
-from .exact import LinFrac, Poly, Weight, format_scalar, pair
+from .exact import LinFrac, Poly, Weight, _as_exact, format_scalar, pair
 
 
 class GkmGraph:
@@ -45,34 +45,32 @@ class GkmGraph:
             # "|" joins the two ids of a restriction-table key
             if "|" in vid:
                 raise GraphFormatError(f"vertex id {vid!r} contains '|'")
-        self.moment: dict[str, Weight] = {}
+        moment: dict[str, Weight] = {}
         for vid, mom in vertices:
-            if len(mom) != rank:
+            if len(mom.coords) != rank:
                 raise GraphFormatError(f"moment of {vid!r} has wrong length")
-            self.moment[vid] = mom
-        self.weights: dict[tuple[str, str], Weight] = {}
+            moment[vid] = mom
+        weights: dict[tuple[str, str], Weight] = {}
         for src, dst, w in edges:
-            if src not in self.moment or dst not in self.moment:
+            if src not in moment or dst not in moment:
                 raise GraphFormatError(f"edge ({src!r},{dst!r}) references unknown vertex")
-            if len(w) != rank:
+            if len(w.coords) != rank:
                 raise GraphFormatError(f"edge ({src!r},{dst!r}) weight has wrong length")
             if src == dst:
                 raise GraphFormatError(f"loop edge at {src!r}")
             key = (src, dst)
-            if key in self.weights and self.weights[key] != w:
+            old = weights.setdefault(key, w)
+            if old is not w and old != w:
                 raise GraphFormatError(f"conflicting weights for edge {key}")
-            self.weights[key] = w
-        if synthesize_mirror:
-            for (src, dst), w in list(self.weights.items()):
-                mirror = (dst, src)
-                if mirror not in self.weights:
-                    self.weights[mirror] = -w
-        self.adj: dict[str, tuple[str, ...]] = {v: () for v in self.ids}
         nbrs: dict[str, list[str]] = {v: [] for v in self.ids}
-        for (src, dst) in self.weights:
+        for (src, dst), w in list(weights.items()):
             nbrs[src].append(dst)
-        for v, lst in nbrs.items():
-            self.adj[v] = tuple(sorted(lst))
+            if synthesize_mirror and (dst, src) not in weights:
+                weights[(dst, src)] = -w
+                nbrs[dst].append(src)
+        self.moment = moment
+        self.weights = weights
+        self.adj: dict[str, tuple[str, ...]] = {v: tuple(sorted(lst)) for v, lst in nbrs.items()}
 
     def edge_weight(self, src: str, dst: str) -> Weight:
         return self.weights[(src, dst)]
@@ -225,33 +223,34 @@ class OrientedGraphData:
     """
 
     def __init__(self, graph: GkmGraph, xi: Weight):
-        if len(xi) != graph.rank:
+        if len(xi.coords) != graph.rank:
             raise GenericityError("direction vector has wrong length")
-        xi_pair: dict[Weight, Fraction] = {}  # one pairing per distinct weight
+        # one pairing per distinct weight, keyed by its coordinates and
+        # checked at the weight's first edge; an edge whose weight pairs
+        # positively points down into its head
+        xi_pair: dict[tuple, int | Fraction] = {}
+        downs: dict[str, list[Weight]] = {v: [] for v in graph.ids}
         for (src, dst), w in graph.weights.items():
-            if w not in xi_pair:
-                xi_pair[w] = 0 if w.is_zero() else pair(w, xi)
-            if xi_pair[w] == 0:
-                raise GenericityError(f"direction pairs to zero with edge ({src},{dst})")
+            t = xi_pair.get(w.coords)
+            if t is None:
+                t = xi_pair[w.coords] = 0 if w.is_zero() else pair(w, xi)
+                if t == 0:
+                    raise GenericityError(f"direction pairs to zero with edge ({src},{dst})")
+            if t > 0:
+                downs[dst].append(w)
         self.graph = graph
         self.xi = xi
-        self.phi: dict[str, Fraction] = {
-            v: Fraction(pair(graph.moment[v], xi)) for v in graph.ids
+        # exact scalars: ints where integral, as on every default orbit
+        self.phi: dict[str, int | Fraction] = {
+            v: _as_exact(pair(graph.moment[v], xi)) for v in graph.ids
         }
-        self.neg: dict[str, tuple[Weight, ...]] = {}
-        self.lam: dict[str, int] = {}
-        for v in graph.ids:
-            downs = []
-            for u in graph.adj[v]:
-                w = graph.weights[(u, v)]
-                if xi_pair[w] > 0:
-                    downs.append(w)
-            downs.sort(key=lambda w: w.coords)
-            self.neg[v] = tuple(downs)
-            self.lam[v] = len(downs)
+        self.neg: dict[str, tuple[Weight, ...]] = {
+            v: tuple(sorted(ws, key=lambda w: w.coords)) for v, ws in downs.items()}
+        self.lam: dict[str, int] = {v: len(ws) for v, ws in downs.items()}
         # canonical out-edges: neighbours one index up
+        lam = self.lam
         self.up: dict[str, tuple[str, ...]] = {
-            v: tuple(u for u in graph.adj[v] if self.lam[u] == self.lam[v] + 1)
+            v: tuple(u for u in graph.adj[v] if lam[u] == lam[v] + 1)
             for v in graph.ids
         }
         self.order: tuple[str, ...] = tuple(
@@ -378,8 +377,9 @@ class OrientedGraphData:
     @cached_property
     def index_increasing(self) -> bool:
         """True when every ascending edge strictly raises the index."""
-        return all(self.lam[src] < self.lam[dst] for (src, dst) in self.graph.weights
-                   if self.phi[src] < self.phi[dst])
+        lam, phi = self.lam, self.phi
+        return all(lam[src] < lam[dst] for (src, dst) in self.graph.weights
+                   if phi[src] < phi[dst])
 
     @cached_property
     def reachable(self) -> dict[str, frozenset[str]]:
@@ -427,7 +427,7 @@ class CanonicalGraph:
     rank: int
     ids: tuple[str, ...]
     lam: dict[str, int]
-    phi: dict[str, Fraction]
+    phi: dict[str, int | Fraction]
     labels: dict[tuple[str, str], LinFrac]
     up: dict[str, tuple[str, ...]]
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import itemgetter, neg
 from typing import Iterable, Mapping, Sequence
 
 from .canonical import PathFilter, PathTerm, RestrictionTable, filtered_path_column, ordered_filter
@@ -365,16 +366,20 @@ def _format_point(coords: tuple) -> str:
     return ",".join(format_scalar(c) for c in coords)
 
 
-def _index_table(perm: SignedPerm) -> tuple[tuple[int, bool], ...]:
+def _signed_getter(perm: SignedPerm) -> itemgetter:
     """Entry k of the word of w * perm is entry |perm[k]| of w's word,
-    negated when perm[k] < 0: (index, negate) pairs for _act.  A
-    reflection is its own inverse, so for one the same table is also its
-    action on coordinate tuples."""
-    return tuple((abs(a) - 1, a < 0) for a in perm.word)
+    negated when perm[k] < 0: one itemgetter over a tuple followed by its
+    negation (see _with_negation) picks those entries.  A reflection is
+    its own inverse, so for one the same getter is also its action on
+    coordinate tuples.  In one coordinate the getter takes a slice, so
+    that it too gives a tuple."""
+    n = len(perm.word)
+    picks = [abs(a) - 1 + (n if a < 0 else 0) for a in perm.word]
+    return itemgetter(*picks) if n > 1 else itemgetter(slice(picks[0], picks[0] + 1))
 
 
-def _act(table, pt: tuple) -> tuple:
-    return tuple([-pt[i] if neg else pt[i] for i, neg in table])
+def _with_negation(pt: tuple) -> tuple:
+    return pt + tuple(map(neg, pt))
 
 
 def build_orbit_gkm(spec: OrbitSpec, level: int | None = None,
@@ -385,9 +390,8 @@ def build_orbit_gkm(spec: OrbitSpec, level: int | None = None,
     each point's coordinates to its vertex id, as Orbit formats them.
 
     The orbit is walked on integer tuples (the point times the common
-    denominator of its coordinates), the reflections acting through index
-    tables, and a pairing with a root reads only the root's nonzero
-    coordinates."""
+    denominator of its coordinates), each point kept with its negation, so
+    that a reflection acts through one itemgetter."""
     rs = spec.rs
     mu = spec.level_mu(level if level is not None else spec.rank)
     den = 1
@@ -395,16 +399,17 @@ def build_orbit_gkm(spec: OrbitSpec, level: int | None = None,
         if isinstance(c, Fraction):
             den = den * c.denominator // gcd(den, c.denominator)
     start = tuple(int(c * den) for c in mu.coords)
-    simple = [_index_table(s) for s in rs.simple_perms]
-    points = {start: None}  # the orbit in breadth-first order
+    simple = [_signed_getter(s) for s in rs.simple_perms]
+    points = {start: _with_negation(start)}  # the orbit in breadth-first order
     frontier = [start]
     while frontier:
         nxt = []
         for pt in frontier:
-            for table in simple:
-                img = _act(table, pt)
+            both = points[pt]
+            for act in simple:
+                img = act(both)
                 if img not in points:
-                    points[img] = None
+                    points[img] = _with_negation(img)
                     nxt.append(img)
         frontier = nxt
     exact = {pt: tuple(c // den if c % den == 0 else Fraction(c, den) for c in pt)
@@ -412,17 +417,21 @@ def build_orbit_gkm(spec: OrbitSpec, level: int | None = None,
     vid = {pt: vids[coords] if vids is not None else _format_point(coords)
            for pt, coords in exact.items()}
     vertices = [(vid[pt], Weight.of_exact(exact[pt])) for pt in sorted(points)]
-    reflections = [(tuple((i, c) for i, c in enumerate(root.coords) if c != 0),
-                    root, -root, _index_table(rs.reflection_perm(root)))
+    # the reflection across a root moves pt by a positive multiple of
+    # -<pt, root> times the root, and every positive root's first nonzero
+    # coordinate is positive: comparing pt with its image there gives the
+    # sign of <pt, root>, and equality means pt is fixed
+    reflections = [(next(i for i, c in enumerate(root.coords) if c != 0),
+                    root, -root, _signed_getter(rs.reflection_perm(root)))
                    for root in rs.positive_roots]
     edges = []
-    for pt in points:
+    for pt, both in points.items():
         src = vid[pt]
-        for support, root, neg, table in reflections:
-            # the reflection negates <pt, root>, and fixes pt where it is 0
-            c = sum(pt[i] * a for i, a in support)
-            if c != 0:
-                edges.append((src, vid[_act(table, pt)], root if c < 0 else neg))
+        for lead, root, neg_root, act in reflections:
+            img = act(both)
+            a, b = pt[lead], img[lead]
+            if a != b:
+                edges.append((src, vid[img], root if a < b else neg_root))
     return GkmGraph(rs.ambient, vertices, edges)
 
 
@@ -450,15 +459,16 @@ class Orbit:
         # breadth first over the simple reflections: an element's depth is
         # the fewest simple reflections it is a product of, its length.
         # The products w * s are taken on the words.
-        right = [_index_table(s) for s in rs.simple_perms]
+        right = [_signed_getter(s) for s in rs.simple_perms]
         frontier = [SignedPerm.identity(rs.ambient).word]
         self.length: dict[tuple, int] = {frontier[0]: 0}
         while frontier:
             nxt = []
             for w in frontier:
                 lu = self.length[w] + 1
-                for table in right:
-                    u = _act(table, w)
+                both = _with_negation(w)
+                for act in right:
+                    u = act(both)
                     if u not in self.length:
                         self.length[u] = lu
                         nxt.append(u)
