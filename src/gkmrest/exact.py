@@ -5,12 +5,14 @@ linear forms.
 All coefficients are exact rationals: Python ints (arbitrary precision)
 and ``Fraction``s, which interoperate transparently.  An integral value is
 not always an int.  Scalar division (``_div_scalar``, which every
-polynomial division goes through), ``Poly.substitute`` and
+polynomial and ``LinFrac`` division goes through), ``Poly.substitute`` and
 ``Poly.with_int_coefficients`` return ints for integral values; ``+``,
 ``*``, ``scale``, ``mul_weight`` and the one- and two-coordinate paths of
 ``restrict_zero`` keep whatever their operands give, so half-integers that
 combine to an integer leave a ``Fraction(k, 1)``.  Equality, hashing and
-``format_scalar`` treat both alike.
+``format_scalar`` treat both alike.  The primitive split of a linear form
+(``Weight.primitive``) has an int scale exactly when the form is integral,
+so integral forms are split, multiplied and divided without a ``Fraction``.
 
 Conventions:
   * a ``Weight`` is a covector in m coordinates x_1..x_m;
@@ -26,7 +28,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import GenericityError, NotDivisible
@@ -118,11 +121,12 @@ class Weight:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
 
-    def primitive(self) -> tuple[tuple[int, ...], Fraction]:
+    def primitive(self) -> tuple[tuple[int, ...], int | Fraction]:
         """Split self = scale * prim with prim integral, content 1, and
-        positive leading (first nonzero) coordinate.  Raises on zero."""
-        prim, scale = _primitive(self.coords)
-        return prim, scale
+        positive leading (first nonzero) coordinate.  The scale is an int
+        when every coordinate is integral, else a Fraction.  Raises on
+        zero."""
+        return _primitive(self.coords)
 
     def __str__(self):
         return format_weight(self.coords)
@@ -134,28 +138,29 @@ class Weight:
         return [format_scalar(c) for c in self.coords]
 
 
-def _primitive(coords: Sequence) -> tuple[tuple[int, ...], Fraction]:
-    den = 1
-    for c in coords:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coords]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+def _primitive(coords: Sequence) -> tuple[tuple[int, ...], int | Fraction]:
+    try:
+        g = gcd(*coords)  # integral coordinates: no Fraction is made
+        ints, den = coords, 1
+    except TypeError:  # a Fraction among them
+        den = 1
+        for c in coords:
+            den = lcm(den, c.denominator)
+        ints = [int(c * den) for c in coords]
+        g = gcd(*ints)
     if g == 0:
         raise ValueError("zero form has no primitive representative")
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
+    if next(v for v in ints if v != 0) < 0:
         g = -g
-    return tuple(v // g for v in ints), Fraction(g, den)
+    prim = tuple(ints) if g == 1 else tuple(v // g for v in ints)
+    return prim, (g if den == 1 else Fraction(g, den))
 
 
 def pair(w: Weight, xi: Weight):
     """Bilinear pairing sum_i w_i * xi_i.  Lengths must agree."""
-    if len(w) != len(xi):
+    if len(w.coords) != len(xi.coords):
         raise ValueError(f"length mismatch: {len(w)} vs {len(xi)}")
-    return sum(a * b for a, b in zip(w.coords, xi.coords))
+    return sum(map(mul, w.coords, xi.coords))
 
 
 def rho_project(x: Weight, eta: Weight, xi: Weight) -> Weight:
@@ -696,7 +701,7 @@ class LinFrac:
 
     def div_weight(self, w: Weight) -> "LinFrac":
         prim, scale = w.primitive()
-        return LinFrac(self.n, self.scalar / scale, self.num,
+        return LinFrac(self.n, _div_scalar(self.scalar, scale), self.num,
                        _merge_sorted(self.den, (prim,)))
 
     def to_poly(self) -> Poly:

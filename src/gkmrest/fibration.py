@@ -130,7 +130,7 @@ def check_weight_preserving(od: OrientedGraphData, tower: TowerSpec,
         lvl = tower.levels[j - 1]
         diff = lvl.moment[b] - lvl.moment[a]
         eta = od.graph.edge_weight(a, b)
-        m = _proportionality(diff, eta)
+        m = _proportionality(diff.coords, eta.coords)
         if m is None or m <= 0:
             raise WeightNotPreserved(
                 f"level {j} moment difference along ({a},{b}) is not a positive "

@@ -14,6 +14,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter, sub
 from fractions import Fraction
 
 from .errors import (
@@ -22,7 +23,7 @@ from .errors import (
     NonIntegerTheta,
     NotScalarRatio,
 )
-from .exact import LinFrac, Poly, Weight, _as_exact, format_scalar, pair
+from .exact import LinFrac, Poly, Weight, _as_exact, _div_scalar, _primitive, format_scalar, pair
 
 
 class GkmGraph:
@@ -51,6 +52,8 @@ class GkmGraph:
                 raise GraphFormatError(f"moment of {vid!r} has wrong length")
             moment[vid] = mom
         weights: dict[tuple[str, str], Weight] = {}
+        heads: dict[str, list[str]] = {v: [] for v in self.ids}
+        tails: dict[str, list[str]] = {v: [] for v in self.ids}
         for src, dst, w in edges:
             if src not in moment or dst not in moment:
                 raise GraphFormatError(f"edge ({src!r},{dst!r}) references unknown vertex")
@@ -59,18 +62,30 @@ class GkmGraph:
             if src == dst:
                 raise GraphFormatError(f"loop edge at {src!r}")
             key = (src, dst)
-            old = weights.setdefault(key, w)
-            if old is not w and old != w:
+            old = weights.get(key)
+            if old is None:
+                weights[key] = w
+                heads[src].append(dst)
+                tails[dst].append(src)
+            elif old is not w and old != w:
                 raise GraphFormatError(f"conflicting weights for edge {key}")
-        nbrs: dict[str, list[str]] = {v: [] for v in self.ids}
-        for (src, dst), w in list(weights.items()):
-            nbrs[src].append(dst)
-            if synthesize_mirror and (dst, src) not in weights:
-                weights[(dst, src)] = -w
-                nbrs[dst].append(src)
+        # every edge has its mirror exactly when each vertex's heads are
+        # its tails (no edge is listed twice in either)
+        for v, lst in heads.items():
+            lst.sort()
+            tails[v].sort()
+        if synthesize_mirror and heads != tails:
+            heads = {v: [] for v in self.ids}
+            for (src, dst), w in list(weights.items()):
+                heads[src].append(dst)
+                if (dst, src) not in weights:
+                    weights[(dst, src)] = -w
+                    heads[dst].append(src)
+            for lst in heads.values():
+                lst.sort()
         self.moment = moment
         self.weights = weights
-        self.adj: dict[str, tuple[str, ...]] = {v: tuple(sorted(lst)) for v, lst in nbrs.items()}
+        self.adj: dict[str, tuple[str, ...]] = {v: tuple(lst) for v, lst in heads.items()}
 
     def edge_weight(self, src: str, dst: str) -> Weight:
         return self.weights[(src, dst)]
@@ -145,7 +160,7 @@ def validate_gkm(g: GkmGraph) -> ValidationReport:
             report.add("zero-weight", f"edge ({src},{dst}) has zero weight")
             continue
         diff = g.moment[dst] - g.moment[src]
-        m = _proportionality(diff, w)
+        m = _proportionality(diff.coords, w.coords)
         if m is None:
             report.add("positivity", f"moment difference along ({src},{dst}) is not a multiple of the weight")
         elif m <= 0:
@@ -165,27 +180,29 @@ def validate_gkm(g: GkmGraph) -> ValidationReport:
     return report
 
 
-def _proportionality(v: Weight, w: Weight):
-    """Return the scalar m with v == m*w, or None if not proportional.
-    w must be nonzero."""
+def _proportionality(v: tuple, w: tuple):
+    """Return the scalar m with v == m*w for coordinate tuples, or None if
+    not proportional; an int when integral.  w must be nonzero."""
     m = None
-    for a, b in zip(v.coords, w.coords):
+    for a, b in zip(v, w):
         if b == 0:
             if a != 0:
                 return None
             continue
-        r = Fraction(a, 1) / b
+        r = _div_scalar(a, b)
         if m is None:
             m = r
         elif m != r:
             return None
-    return Fraction(0) if m is None else m
+    return 0 if m is None else m
 
 
-def magnitude(g: GkmGraph, src: str, dst: str) -> Fraction:
-    """The scalar m with moment(dst) - moment(src) = m * weight(src, dst)."""
+def magnitude(g: GkmGraph, src: str, dst: str) -> int | Fraction:
+    """The scalar m with moment(dst) - moment(src) = m * weight(src, dst),
+    an int when integral."""
     w = g.edge_weight(src, dst)
-    m = _proportionality(g.moment[dst] - g.moment[src], w)
+    m = _proportionality(tuple(map(sub, g.moment[dst].coords, g.moment[src].coords)),
+                         w.coords)
     if m is None:
         raise GraphFormatError(f"moment difference along ({src},{dst}) is not a multiple of the weight")
     return m
@@ -244,22 +261,24 @@ class OrientedGraphData:
         self.phi: dict[str, int | Fraction] = {
             v: _as_exact(pair(graph.moment[v], xi)) for v in graph.ids
         }
+        coords = attrgetter("coords")
         self.neg: dict[str, tuple[Weight, ...]] = {
-            v: tuple(sorted(ws, key=lambda w: w.coords)) for v, ws in downs.items()}
+            v: tuple(sorted(ws, key=coords)) for v, ws in downs.items()}
         self.lam: dict[str, int] = {v: len(ws) for v, ws in downs.items()}
         # canonical out-edges: neighbours one index up
         lam = self.lam
-        self.up: dict[str, tuple[str, ...]] = {
-            v: tuple(u for u in graph.adj[v] if lam[u] == lam[v] + 1)
-            for v in graph.ids
-        }
+        self.up: dict[str, tuple[str, ...]] = {}
+        for v in graph.ids:
+            above = lam[v] + 1
+            self.up[v] = tuple([u for u in graph.adj[v] if lam[u] == above])
         self.order: tuple[str, ...] = tuple(
             sorted(graph.ids, key=lambda v: (self.phi[v], v))
         )
+        self._xi_pair = xi_pair
         self._lambda_minus: dict[str, Poly] = {}
-        self._theta_cache: dict[tuple[str, str], Fraction] = {}
-        self._projections: dict[tuple[Weight, Weight], tuple | None] = {}
-        self._gz_coefficients: dict[tuple[str, str], Fraction] = {}
+        self._theta_cache: dict[tuple[str, str], int] = {}
+        self._projections: dict[tuple[tuple, tuple], tuple | None] = {}
+        self._gz_coefficients: dict[tuple[str, str], int | Fraction] = {}
         self._congruence_products: dict[str, tuple[Poly | None, ...]] = {}
 
     @property
@@ -278,11 +297,11 @@ class OrientedGraphData:
             f = f.mul_weight(w)
         return f
 
-    def theta(self, p: str, q: str) -> Fraction:
+    def theta(self, p: str, q: str) -> int:
         """Edge scalar: the ratio of the projected downward product at p to
         the projected downward product at q with the edge weight removed.
         Requires (p, q) to be an ascending edge with index gap one; the
-        value is checked to be a nonzero integer.
+        value is checked to be a nonzero integer and returned as an int.
 
         Nothing is expanded.  Linear forms are irreducible and the
         polynomial ring is a unique factorisation domain, so two products
@@ -313,8 +332,8 @@ class OrientedGraphData:
             raise NotScalarRatio(f"projected product at {p} vanished on edge ({p},{q})")
         if num[0] != den[0]:
             raise NotScalarRatio(f"projected products at ({p},{q}) are not proportional")
-        ratio = Fraction(num[1]) / den[1]
-        if ratio.denominator != 1:
+        ratio = _div_scalar(num[1], den[1])
+        if type(ratio) is not int:
             raise NonIntegerTheta(f"edge scalar {ratio} at ({p},{q}) is not an integer")
         self._theta_cache[key] = ratio
         return ratio
@@ -323,16 +342,19 @@ class OrientedGraphData:
         """Split the product of <eta,xi> * rho_project(w, eta, xi) over
         weights into (sorted primitive forms, product of scales), or None
         when a factor is zero.  Scaling by <eta,xi> keeps integral weights
-        integral.  Each factor's split depends only on the pair (w, eta),
-        so it is memoised per pair."""
+        integral, so their scales are ints.  Each factor's split depends
+        only on the pair (w, eta), so it is memoised per pair of
+        coordinate tuples; the pairings with xi are the ones __init__
+        took."""
         forms, scale = [], 1
+        projections, xi_pair, e = self._projections, self._xi_pair, eta.coords
         for w in weights:
-            key = (w, eta)
-            if key not in self._projections:
-                d, t = pair(eta, self.xi), pair(w, self.xi)
-                x = Weight([d * a - t * b for a, b in zip(w.coords, eta.coords)])
-                self._projections[key] = None if x.is_zero() else x.primitive()
-            split = self._projections[key]
+            key = (w.coords, e)
+            split = projections.get(key, False)
+            if split is False:
+                d, t = xi_pair[e], xi_pair[w.coords]
+                x = tuple([d * a - t * b for a, b in zip(w.coords, e)])
+                split = projections[key] = _primitive(x) if any(x) else None
             if split is None:
                 return None
             forms.append(split[0])
@@ -340,7 +362,7 @@ class OrientedGraphData:
         forms.sort()
         return forms, scale
 
-    def gz_coefficient(self, v: str, r: str) -> Fraction:
+    def gz_coefficient(self, v: str, r: str) -> int | Fraction:
         """magnitude(v, r) * theta(v, r): the weight of the value at r in
         the moment-driven dynamic program at v, memoised per canonical
         edge.  theta is asked on every call, a cache hit after the first,

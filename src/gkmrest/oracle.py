@@ -65,15 +65,6 @@ def billey_restriction(rs: RootSystem, w: SignedPerm, v: SignedPerm,
     target = w.word
     lw = weyl_length(rs, w)
     m = rs.ambient
-    lengths: dict[tuple, int] = {}
-
-    def length(u: SignedPerm) -> int:
-        got = lengths.get(u.word)
-        if got is None:
-            got = weyl_length(rs, u)
-            lengths[u.word] = got
-        return got
-
     total = Poly.zero(m)
     l = len(word)
     stack = [(0, SignedPerm.identity(m), 0, Poly.const(m, 1))]
@@ -86,11 +77,10 @@ def billey_restriction(rs: RootSystem, w: SignedPerm, v: SignedPerm,
                 total = total + prod
             continue
         stack.append((j + 1, u, lu, prod))
-        if lu < lw:
-            u2 = u * rs.simple_perms[word[j]]
-            if length(u2) == lu + 1:
-                stack.append((j + 1, u2, lu + 1,
-                              prod.mul_weight(prefix_roots[j])))
+        # u s is one longer exactly when u sends the simple root positive
+        if lu < lw and rs.is_right_ascent(u, word[j]):
+            stack.append((j + 1, u * rs.simple_perms[word[j]], lu + 1,
+                          prod.mul_weight(prefix_roots[j])))
     return total
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .canonical import PathFilter, PathTerm, RestrictionTable, filtered_path_column, ordered_filter
 from .errors import GraphFormatError, ThetaNotOne
-from .exact import LinFrac, Poly, Weight, format_scalar, linfrac_sum_to_poly, pair
+from .exact import LinFrac, Poly, Weight, _div_scalar, linfrac_sum_to_poly, pair
 from .fibration import (
     FibrationSpec,
     TowerLevel,
@@ -111,7 +111,7 @@ class SignedPerm:
         for a in other.word:
             b = self.word[abs(a) - 1]
             word.append(b if a > 0 else -b)
-        return SignedPerm(word)
+        return SignedPerm.of_word(tuple(word))
 
 
 class RootSystem:
@@ -183,10 +183,27 @@ class RootSystem:
                 word[i], word[j] = j + 1, i + 1
         else:
             raise GraphFormatError(f"{root} is not a root of type {self.ctype}")
-        return SignedPerm(word)
+        return SignedPerm.of_word(tuple(word))
+
+    @cached_property
+    def reflections(self) -> tuple[SignedPerm, ...]:
+        """The reflections across the positive roots, in their order."""
+        return tuple(self.reflection_perm(root) for root in self.positive_roots)
 
     def is_positive(self, w: Weight) -> bool:
         return w.coords in self._pos_set
+
+    def is_right_ascent(self, u: SignedPerm, i: int) -> bool:
+        """Whether l(u s_i) = l(u) + 1, that is, whether u sends the simple
+        root alpha_i to a positive root (else l(u s_i) = l(u) - 1)."""
+        return not _leads_negative(u.act(self.simple_roots[i]).coords)
+
+    def is_left_descent(self, u: SignedPerm, i: int) -> bool:
+        """Whether l(s_i u) = l(u) - 1, that is, whether u^-1 sends the
+        simple root alpha_i to a negative root; entry j of u^-1(v) is
+        sign(u_j) * v_|u_j|."""
+        a = self.simple_roots[i].coords
+        return _leads_negative(a[x - 1] if x > 0 else -a[-x - 1] for x in u.word)
 
     def is_root(self, w: Weight) -> bool:
         return w.coords in self._pos_set or (-w).coords in self._pos_set
@@ -200,8 +217,10 @@ class RootSystem:
             raise GraphFormatError("type D elements need an even number of signs")
 
 
-def _is_negative_form(w: Weight) -> bool:
-    for c in w.coords:
+def _leads_negative(coords: Iterable) -> bool:
+    """Whether the first nonzero coordinate is negative: for a root, that
+    it is a negative root."""
+    for c in coords:
         if c != 0:
             return c < 0
     return False
@@ -234,7 +253,7 @@ def factor_distinct_positive_roots(rs: RootSystem, value: LinFrac) -> Fraction:
 def weyl_length(rs: RootSystem, w: SignedPerm) -> int:
     """Number of positive roots sent to negative roots."""
     rs.validate_element(w)
-    return sum(1 for b in rs.positive_roots if _is_negative_form(w.act(b)))
+    return sum(1 for b in rs.positive_roots if _leads_negative(w.act(b).coords))
 
 
 def reduced_words(rs: RootSystem, w: SignedPerm) -> list[tuple[int, ...]]:
@@ -263,18 +282,19 @@ def reduced_words(rs: RootSystem, w: SignedPerm) -> list[tuple[int, ...]]:
 
 
 def lexmin_reduced_word(rs: RootSystem, w: SignedPerm) -> tuple[int, ...]:
-    """Lexicographically smallest reduced word, built greedily."""
+    """Lexicographically smallest reduced word, built greedily: the
+    smallest left descent s of the remaining element u begins the rest of
+    the word, and u becomes s * u, one shorter.  Only the length of w is
+    swept over every positive root; each descent is one simple root's
+    image."""
     word = []
     u = w
     lu = weyl_length(rs, u)
     while lu:
-        # choose the smallest simple index that can END a reduced word of u,
-        # scanning from the left of the remaining product
         for i, s in enumerate(rs.simple_perms):
-            v = s * u
-            if weyl_length(rs, v) == lu - 1:
+            if rs.is_left_descent(u, i):
                 word.append(i)
-                u = v
+                u = s * u
                 lu -= 1
                 break
         else:
@@ -363,7 +383,8 @@ def _vertex_id(point: Weight) -> str:
 
 
 def _format_point(coords: tuple) -> str:
-    return ",".join(format_scalar(c) for c in coords)
+    # str of an int or a Fraction is its format_scalar text
+    return ",".join(map(str, coords))
 
 
 def _signed_getter(perm: SignedPerm) -> itemgetter:
@@ -378,6 +399,16 @@ def _signed_getter(perm: SignedPerm) -> itemgetter:
     return itemgetter(*picks) if n > 1 else itemgetter(slice(picks[0], picks[0] + 1))
 
 
+def _signed_entries(values: tuple):
+    """The map a -> sign(a) * values[|a| - 1] on the signed slots a = ±1..±n.
+    Mapped over the word of w^-1 it gives the point w(values) (entry j of
+    w(x) is sign(a) * x_|a| for the entry a of w^-1 at slot j); mapped over
+    the word of u it gives the word of s * u when values is the word of s."""
+    n = len(values)
+    return {a: values[a - 1] if a > 0 else -values[-a - 1]
+            for a in range(-n, n + 1) if a}.__getitem__
+
+
 def _with_negation(pt: tuple) -> tuple:
     return pt + tuple(map(neg, pt))
 
@@ -386,33 +417,42 @@ def build_orbit_gkm(spec: OrbitSpec, level: int | None = None,
                     vids: Mapping[tuple, str] | None = None) -> GkmGraph:
     """Orbit graph at a tower level (default: the top level): vertices are
     the orbit points, edges join reflection pairs, and each edge carries
-    the root that pairs positively with its head.  vids, when given, maps
-    each point's coordinates to its vertex id, as Orbit formats them.
+    the root that pairs positively with its head.
 
     The orbit is walked on integer tuples (the point times the common
     denominator of its coordinates), each point kept with its negation, so
-    that a reflection acts through one itemgetter."""
+    that a reflection acts through one itemgetter.  vids, when given, maps
+    the coordinates of every top-level point to its vertex id, in the order
+    of that walk, as Orbit walks them from its group (Orbit.__init__); the
+    orbit is then not walked again."""
     rs = spec.rs
     mu = spec.level_mu(level if level is not None else spec.rank)
     den = 1
     for c in mu.coords:
         if isinstance(c, Fraction):
             den = den * c.denominator // gcd(den, c.denominator)
-    start = tuple(int(c * den) for c in mu.coords)
-    simple = [_signed_getter(s) for s in rs.simple_perms]
-    points = {start: _with_negation(start)}  # the orbit in breadth-first order
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for pt in frontier:
-            both = points[pt]
-            for act in simple:
-                img = act(both)
-                if img not in points:
-                    points[img] = _with_negation(img)
-                    nxt.append(img)
-        frontier = nxt
-    exact = {pt: tuple(c // den if c % den == 0 else Fraction(c, den) for c in pt)
+    if vids is not None:
+        points = {}
+        for coords in vids:
+            pt = coords if den == 1 else tuple(int(c * den) for c in coords)
+            points[pt] = _with_negation(pt)
+    else:
+        start = tuple(int(c * den) for c in mu.coords)
+        simple = [_signed_getter(s) for s in rs.simple_perms]
+        points = {start: _with_negation(start)}  # the orbit in breadth-first order
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for pt in frontier:
+                both = points[pt]
+                for act in simple:
+                    img = act(both)
+                    if img not in points:
+                        points[img] = _with_negation(img)
+                        nxt.append(img)
+            frontier = nxt
+    exact = {pt: pt if den == 1 else
+             tuple(c // den if c % den == 0 else Fraction(c, den) for c in pt)
              for pt in points}
     vid = {pt: vids[coords] if vids is not None else _format_point(coords)
            for pt, coords in exact.items()}
@@ -422,8 +462,8 @@ def build_orbit_gkm(spec: OrbitSpec, level: int | None = None,
     # coordinate is positive: comparing pt with its image there gives the
     # sign of <pt, root>, and equality means pt is fixed
     reflections = [(next(i for i, c in enumerate(root.coords) if c != 0),
-                    root, -root, _signed_getter(rs.reflection_perm(root)))
-                   for root in rs.positive_roots]
+                    root, -root, _signed_getter(perm))
+                   for root, perm in zip(rs.positive_roots, rs.reflections)]
     edges = []
     for pt, both in points.items():
         src = vid[pt]
@@ -456,31 +496,44 @@ class Orbit:
         self.spec = spec
         self.rs = spec.rs
         rs = self.rs
+        n = rs.ambient
+        self.mu = spec.level_mu(spec.rank)
         # breadth first over the simple reflections: an element's depth is
         # the fewest simple reflections it is a product of, its length.
-        # The products w * s are taken on the words.
-        right = [_signed_getter(s) for s in rs.simple_perms]
-        frontier = [SignedPerm.identity(rs.ambient).word]
-        self.length: dict[tuple, int] = {frontier[0]: 0}
+        # The products w * s are taken on the words, and with them the
+        # inverse words s * w^-1, whose signed entries relabel through s.
+        moves = [(_signed_getter(s), _signed_entries(s.word)) for s in rs.simple_perms]
+        identity = tuple(range(1, n + 1))
+        length = {identity: 0}
+        inverse = {identity: identity}  # word -> the word of its inverse
+        frontier = [identity]
         while frontier:
             nxt = []
             for w in frontier:
-                lu = self.length[w] + 1
-                both = _with_negation(w)
-                for act in right:
+                lu = length[w] + 1
+                both, inv = _with_negation(w), inverse[w]
+                for act, relabel in moves:
                     u = act(both)
-                    if u not in self.length:
-                        self.length[u] = lu
+                    if u not in length:
+                        length[u] = lu
+                        inverse[u] = tuple(map(relabel, inv))
                         nxt.append(u)
             frontier = nxt
-        self.elements: list[SignedPerm] = [SignedPerm.of_word(w) for w in self.length]
-        self.mu = spec.level_mu(spec.rank)
-        points = {w.word: w.act(self.mu).coords for w in self.elements}
-        # point coordinates -> vertex id, each formatted once
-        self._vid_at: dict[tuple, str] = {pt: _format_point(pt) for pt in points.values()}
-        if len(self._vid_at) < len(points):
+        self.length: dict[tuple, int] = length
+        self._inverse: dict[tuple, tuple] = inverse
+        # point coordinates -> vertex id, each formatted once.  Read off
+        # the words themselves, the points are those of the inverses,
+        # which come in the order of build_orbit_gkm's walk (its points
+        # are s * w^-1 (mu) for w * s here); the graph reads this map.
+        mu_at = _signed_entries(self.mu.coords)
+        self._vid_at: dict[tuple, str] = {}
+        vid_of_inverse = {}
+        for w, inv in inverse.items():
+            pt = tuple(map(mu_at, w))
+            vid_of_inverse[inv] = self._vid_at[pt] = _format_point(pt)
+        if len(self._vid_at) < len(length):
             raise GraphFormatError("orbit point hit twice; mu is not regular")
-        self.vid_of: dict[tuple, str] = {w: self._vid_at[pt] for w, pt in points.items()}
+        self.vid_of: dict[tuple, str] = {w: vid_of_inverse[w] for w in length}
         self.word_of_vid: dict[str, tuple] = {vid: w for w, vid in self.vid_of.items()}
         self.xi = orbit_xi(spec)
         self._covers: dict[tuple, tuple] = {}
@@ -496,12 +549,23 @@ class Orbit:
         self._paired_sums: dict[tuple[str, str], dict[str, Poly]] = {}
 
     @cached_property
+    def elements(self) -> list[SignedPerm]:
+        """The group elements in breadth-first order (the order of
+        length)."""
+        return [SignedPerm.of_word(w) for w in self.length]
+
+    @cached_property
     def od(self) -> OrientedGraphData:
         """The oriented top-level graph, built and certified on first use;
         the group-side lookups and the billey engine never need it."""
         od = OrientedGraphData(build_orbit_gkm(self.spec, vids=self._vid_at), self.xi)
         self._certify(od)
         return od
+
+    def _points(self, mu: Weight) -> dict[tuple, tuple]:
+        """The coordinates of w(mu) for each element w, by its word."""
+        at = _signed_entries(mu.coords)
+        return {w: tuple(map(at, inv)) for w, inv in self._inverse.items()}
 
     def _certify(self, od: OrientedGraphData):
         phis = sorted(od.phi.values())
@@ -539,8 +603,8 @@ class Orbit:
             return got
         lw = self.length[w.word]
         out = []
-        for beta in self.rs.positive_roots:
-            u = w * self.rs.reflection_perm(beta)
+        for beta, reflection in zip(self.rs.positive_roots, self.rs.reflections):
+            u = w * reflection
             lu = self.length.get(u.word)
             if lu == lw + 1:
                 slot = next(i for i, c in enumerate(beta.coords) if c != 0) + 1
@@ -575,11 +639,10 @@ class Orbit:
             muj = self.spec.level_mu(j)
             proj: dict[str, str] = {}
             mom: dict[str, Weight] = {}
-            for w in self.elements:
-                v = self.vid_of[w.word]
-                img = w.act(muj)
-                proj[v] = _vertex_id(img)
-                mom[v] = img
+            for w, pt in self._points(muj).items():
+                v = self.vid_of[w]
+                proj[v] = _format_point(pt)
+                mom[v] = Weight.of_exact(pt)
             levels.append(TowerLevel(projection=proj, moment=mom))
         return TowerSpec(levels)
 
@@ -591,8 +654,8 @@ class Orbit:
 
     def base_fibration(self) -> FibrationSpec:
         if self._base_fib is None:
-            vmap = {self.vid_of[w.word]: _vertex_id(w.act(self.spec.level_mu(1)))
-                    for w in self.elements}
+            vmap = {self.vid_of[w]: _format_point(pt)
+                    for w, pt in self._points(self.spec.level_mu(1)).items()}
             self._base_fib = FibrationSpec(self.base_od(), vmap)
         return self._base_fib
 
@@ -931,10 +994,11 @@ _A3_TO_D3 = [
 
 
 def _d3_point_to_a3(pt: Weight) -> Weight:
-    out = Weight((0, 0, 0, 0))
-    for c, img in zip(pt.coords, _D3_TO_A3):
-        out = out + c * img
-    return out
+    # the i-th coordinate of the image is sum_k pt_k * _D3_TO_A3[k][i], a
+    # sum of +-pt_k / 2
+    return Weight.of_exact(tuple(
+        _div_scalar(sum(c if img.coords[i] > 0 else -c for c, img in zip(pt.coords, _D3_TO_A3)), 2)
+        for i in range(4)))
 
 
 def _embed_poly(poly: Poly, free: Sequence[int], m: int) -> Poly:

@@ -7,6 +7,7 @@ coefficients) and random linear forms (one, two, or three or more nonzero
 coordinates) against sympy's own arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -23,6 +24,7 @@ from gkmrest.exact import (  # noqa: E402
     Poly,
     Weight,
     _as_exact,
+    _primitive,
     frac_sum,
     linfrac_sum_to_poly,
 )
@@ -261,3 +263,48 @@ def test_linfrac_product_and_frac_sum(args):
     assert sp.cancel(sym_over(total, left) - sp.Add(*(sym_over(*s) for s in fracs))) == 0
     for w in set(left):
         assert not divides(sym_form(Weight(w)), sym(total), n)
+
+
+# coordinates of a form as a caller may hold them: ints, proper Fractions,
+# and Fractions with denominator one
+raw_coordinates = st.one_of(
+    st.integers(-12, 12),
+    st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6))),
+)
+
+
+@SETTINGS
+@given(st.lists(raw_coordinates, min_size=1, max_size=5).filter(any))
+def test_primitive_split(coords):
+    """scale * prim is the form; prim has content one and a positive lead;
+    the scale is an int exactly when every coordinate is integral, whether
+    the coordinates are read raw or through Weight."""
+    integral = all(Fraction(c).denominator == 1 for c in coords)
+    for prim, scale in (_primitive(tuple(coords)), Weight(coords).primitive()):
+        assert tuple(scale * a for a in prim) == tuple(coords)
+        assert all(type(a) is int for a in prim)
+        assert gcd(*prim) == 1
+        assert next(a for a in prim if a) > 0
+        assert (type(scale) is int) == integral
+        assert type(scale) in (int, Fraction)
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    nonzero, st.lists(forms(n), min_size=1, max_size=3))))
+def test_linfrac_scalars_stay_exact(args):
+    """Multiplying and dividing a LinFrac by forms keeps its scalar an
+    exact int or Fraction, an int where integral."""
+    c, ws = args
+    n = len(ws[0])
+    for f in (LinFrac(n, c), LinFrac(n, Fraction(c) / 3)):
+        for w in ws:
+            for g in (f.mul_weight(w), f.div_weight(w), f.div_weight(w).mul_weight(w)):
+                assert type(g.scalar) in (int, Fraction)
+                assert type(g.scalar) is int or g.scalar.denominator != 1
+        back = f
+        for w in ws:
+            back = back.div_weight(w)
+        for w in ws:
+            back = back.mul_weight(w)
+        assert back == f

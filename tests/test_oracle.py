@@ -1,5 +1,6 @@
 """Tests for the reduced-subword oracle and the comparison harness."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from gkmrest.errors import GkmError, SubwordCapExceeded
 from gkmrest.exact import Poly, Weight, parse_poly
 from gkmrest.oracle import (
     ENGINES,
+    SUBWORD_CAP,
     available_engines,
     billey_restriction,
     compare_tables,
@@ -23,6 +25,7 @@ from gkmrest.orbits import (
     inversion_prefix_roots,
     lexmin_reduced_word,
     reduced_words,
+    weyl_length,
 )
 
 from conftest import restriction_table
@@ -112,6 +115,83 @@ class TestBilley:
         with pytest.raises(SubwordCapExceeded):
             billey_restriction(rs, SignedPerm.identity(4), SignedPerm((4, 3, 2, 1)),
                                word=tuple([0, 1, 0] * 5))
+
+
+def reference_lexmin_word(rs: RootSystem, w: SignedPerm) -> tuple[int, ...]:
+    """The greedy lexicographically smallest reduced word, each left
+    descent found by comparing full lengths (weyl_length)."""
+    word, u, lu = [], w, weyl_length(rs, w)
+    while lu:
+        i = next(i for i, s in enumerate(rs.simple_perms) if weyl_length(rs, s * u) == lu - 1)
+        word.append(i)
+        u, lu = rs.simple_perms[i] * u, lu - 1
+    return tuple(word)
+
+
+def reference_billey(rs: RootSystem, w: SignedPerm, v: SignedPerm) -> Poly:
+    """billey_restriction as a recursion over the positions of the
+    reference word of v, each length from weyl_length; a branch stops
+    when the positions left cannot make up the length of w."""
+    word = reference_lexmin_word(rs, v)
+    roots = inversion_prefix_roots(rs, word)
+    m, lw = rs.ambient, weyl_length(rs, w)
+
+    def go(j, u, lu, prod):
+        if lw - lu > len(word) - j:
+            return Poly.zero(m)
+        if j == len(word):
+            return prod if u == w else Poly.zero(m)
+        total = go(j + 1, u, lu, prod)
+        u2 = u * rs.simple_perms[word[j]]
+        if lu < lw and weyl_length(rs, u2) == lu + 1:
+            total = total + go(j + 1, u2, lu + 1, prod.mul_weight(roots[j]))
+        return total
+
+    return go(0, SignedPerm.identity(m), 0, Poly.const(m, 1))
+
+
+class TestBilleyLengths:
+    """billey tests l(u s) = l(u) + 1, and lexmin_reduced_word l(s u) =
+    l(u) - 1, by the sign of one simple root's image."""
+
+    @pytest.mark.parametrize("ctype,rank", [("B", 3), ("D", 4)])
+    def test_descent_tests_agree_with_weyl_length(self, ctype, rank, monkeypatch):
+        orbit = Orbit(OrbitSpec(ctype, rank))
+        rs = orbit.rs
+        seen = {"right": [], "left": []}
+
+        def recording(kind, original):
+            def recorded(self, u, i):
+                got = original(self, u, i)
+                seen[kind].append((u, i, got))
+                return got
+            return recorded
+
+        monkeypatch.setattr(RootSystem, "is_right_ascent",
+                            recording("right", RootSystem.is_right_ascent))
+        monkeypatch.setattr(RootSystem, "is_left_descent",
+                            recording("left", RootSystem.is_left_descent))
+        rng = random.Random(f"billey-lengths:{ctype}{rank}")
+        for _ in range(40):
+            wp, wq = rng.choice(orbit.elements), rng.choice(orbit.elements)
+            if orbit.length[wq.word] <= SUBWORD_CAP:
+                billey_restriction(rs, wp, wq)
+        assert len(seen["right"]) > 100 and len(seen["left"]) > 100
+        for u, i, got in seen["right"]:
+            s = rs.simple_perms[i]
+            assert got == (weyl_length(rs, u * s) == weyl_length(rs, u) + 1), (u, i)
+        for u, i, got in seen["left"]:
+            s = rs.simple_perms[i]
+            assert got == (weyl_length(rs, s * u) == weyl_length(rs, u) - 1), (u, i)
+
+    @pytest.mark.parametrize("ctype", ["A", "B"])
+    def test_values_unchanged_on_all_rank3_pairs(self, ctype):
+        orbit = Orbit(OrbitSpec(ctype, 3))
+        rs = orbit.rs
+        for wq in orbit.elements:
+            assert lexmin_reduced_word(rs, wq) == reference_lexmin_word(rs, wq)
+            for wp in orbit.elements:
+                assert billey_restriction(rs, wp, wq) == reference_billey(rs, wp, wq), (wp, wq)
 
 
 class TestCrossValidate:

@@ -86,6 +86,35 @@ class TestAgreesWithExpansion:
         for (p, q), th in values.items():
             assert th == expanded_theta(od, p, q)
 
+    @pytest.mark.parametrize("ctype,mu", [("A", "-3/2,-1/2,1/2,3/2"),
+                                          ("B", "-7/2,-3,-1/2")])
+    def test_orbits_at_fractional_points(self, ctype, mu):
+        od = Orbit(OrbitSpec(ctype, 3, mu=mu.split(","))).od
+        assert any(type(c) is Fraction for m in od.graph.moment.values() for c in m.coords)
+        edges = canonical_edges(od)
+        assert edges
+        for p, q in edges:
+            assert od.theta(p, q) == expanded_theta(od, p, q), (p, q)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_half_integral_weights(self, k):
+        """The twisted square with every moment and weight halved: the
+        projected factors are split with Fraction scales, and theta keeps
+        its values, as ints."""
+        g = twisted_square(k).graph
+        half = Fraction(1, 2)
+        od = OrientedGraphData(
+            GkmGraph(2, [(v, half * g.moment[v]) for v in g.ids],
+                     [(a, b, half * w) for (a, b), w in g.weights.items()]),
+            Weight((1, 1)))
+        values = {e: od.theta(*e) for e in canonical_edges(od)}
+        assert values[("p", "q")] == k
+        for (p, q), th in values.items():
+            assert type(th) is int
+            assert th == expanded_theta(od, p, q)
+        scales = [split[1] for split in od._projections.values() if split]
+        assert any(type(c) is Fraction for c in scales)
+
 
 class TestErrors:
     def test_not_an_edge(self, cp2_oriented):
