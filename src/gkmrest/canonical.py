@@ -15,8 +15,10 @@ values alpha_p(q) by several independent routes:
     depth-first walk gkm.walk_paths, and give a single entry with its
     ledger of path terms;
   * the same filtered path sum for a whole column as one backward dynamic
-    program over (vertex, level) suffix sums (filtered_path_column), which
-    builds the ordered and tower tables and the typed A/C columns;
+    program over (vertex, level) suffix sums kept as polynomials, with one
+    exact division per vertex and level (filtered_path_column), which
+    builds the ordered and tower tables and the typed A/C columns, and
+    hands a sum that is not a polynomial to the walker;
   * a solver that knows nothing about path formulas and only imposes the
     defining vanishing conditions together with the edge-divisibility
     congruences of localization (brute_row).
@@ -46,10 +48,8 @@ from .exact import (
     LinFrac,
     Poly,
     Weight,
-    _cancel,
-    _merge_sorted,
+    _div_scalar,
     format_scalar,
-    frac_sum,
     linfrac_sum_to_poly,
     pair,
 )
@@ -341,22 +341,10 @@ def filtered_path_sum(
     return linfrac_sum_to_poly([t.value for t in ledger], n), ledger
 
 
-# A suffix sum of filtered_path_column: a polynomial over a sorted tuple of
-# primitive forms, the product of which is its denominator.
-_Frac = tuple[Poly, tuple[tuple[int, ...], ...]]
-# the suffix sum of a vertex whose monotone completions pass an edge with a
-# vanishing denominator
-_ILL_DEFINED = object()
-
-
-def _frac_times(s: _Frac, f: LinFrac) -> _Frac:
-    """s times f, with the forms of f's numerator cancelled against s's
-    denominator before any is multiplied in."""
-    num = s[0]
-    forms, den = _cancel(f.num, s[1])
-    for form in forms:
-        num = num.mul_weight(Weight(form))
-    return num.scale(f.scalar), _merge_sorted(den, f.den)
+# the suffix sum of a vertex some monotone completion of which crosses an
+# edge with a vanishing denominator, or which the column cannot keep as a
+# polynomial; every source that reads it is handed to filtered_path_sum
+_WALK = object()
 
 
 def filtered_path_column(od: OrientedGraphData, filt: PathFilter, q: str) -> dict[str, Poly]:
@@ -369,19 +357,26 @@ def filtered_path_column(od: OrientedGraphData, filt: PathFilter, q: str) -> dic
     factor over w_j(q) - w_j(v) times S(u, j).  Canonical edges ascend in
     phi, so going down od.order every S(u, .) is known before v needs it.
     S(v, .) only changes at the levels of v's edges, so each vertex keeps
-    one cumulative sum per such level.  The sums stay exact as polynomials
-    over products of primitive forms; only the division depends on q.
+    one cumulative sum per such level.
+
+    The sums are kept as polynomials.  The edges of one level j at v share
+    the denominator w_j(q) - w_j(v) = scale * form, with form primitive:
+    the sums S(u, j) are added up, each times its factor's scalar over
+    scale, and the total is divided once, exactly, by form.  A factor with
+    a form in its denominator, or a level total that form does not divide,
+    makes the sum not a polynomial.
 
     A vertex with no monotone path to q has no sum, so an edge into it
     never counts, as in the walker.  An edge with a vanishing denominator
     on a monotone path to q makes every sum that contains it ill-defined.
-    An entry that is ill-defined, or not a polynomial, is handed to
-    filtered_path_sum, which raises the walker's own error for that pair;
-    the first such p in graph order is named."""
+    An entry whose sum is ill-defined or not a polynomial is handed to
+    filtered_path_sum, which gives the walker's value, or raises its own
+    error, for that pair; the first such p in graph order is named."""
     _require_index_increasing(od)
     n = od.rank
+    zero = Poly.zero(n)
     reach = od.reachable
-    top: _Frac = (od.lambda_minus(q), ())
+    top = od.lambda_minus(q)
     # v -> [(level, S(v, level))] ascending, one per level of v's edges;
     # S(v, l) is the first entry whose level is at least l
     sums: dict[str, list] = {}
@@ -391,10 +386,22 @@ def filtered_path_column(od: OrientedGraphData, filt: PathFilter, q: str) -> dic
             return top
         return next((s for level, s in sums[u] if level >= j), None)
 
+    # (level, w_level(level, v)) -> the primitive split of w_level(level, q)
+    # minus it, None when that vanishes; a level takes few values
+    splits: dict = {}
+
+    def split(j: int, v: str):
+        key = (j, filt.w_level(j, v))
+        if key not in splits:
+            den = filt.w_level(j, q) - key[1]
+            splits[key] = None if den.is_zero() else den.primitive()
+        return splits[key]
+
     for v in reversed(od.order):
         if v == q or q not in reach[v]:
             continue
-        groups: dict[int, list] = {}
+        # level -> (form, scale, terms of the total of its edges), or _WALK
+        groups: dict[int, tuple] = {}
         for u in od.up[v]:
             if q not in reach[u]:
                 continue
@@ -402,23 +409,37 @@ def filtered_path_column(od: OrientedGraphData, filt: PathFilter, q: str) -> dic
             s = suffix(u, j)
             if s is None:
                 continue
-            group = groups.setdefault(j, [])
-            if s is _ILL_DEFINED or group is _ILL_DEFINED:
-                groups[j] = _ILL_DEFINED
+            group = groups.get(j)
+            if group is None:
+                den = split(j, v)
+                group = groups[j] = _WALK if den is None else (*den, {})
+            if group is _WALK:
                 continue
-            den = filt.w_level(j, q) - filt.w_level(j, v)
-            if den.is_zero():
-                groups[j] = _ILL_DEFINED
-            elif not s[0].is_zero():
-                group.append(_frac_times(s, filt.factor(v, u).div_weight(den)))
+            if s is _WALK:
+                groups[j] = _WALK
+            elif s.terms:
+                f = filt.factor(v, u)
+                if f.den:
+                    groups[j] = _WALK
+                    continue
+                for form in f.num:
+                    s = s.mul_weight(Weight(form))
+                c = _div_scalar(f.scalar, group[1])
+                total = group[2]
+                for e, a in s.terms.items():
+                    total[e] = total.get(e, 0) + c * a
         cumulative = []
-        acc = None
+        acc = zero
         for j in sorted(groups, reverse=True):
             group = groups[j]
-            if acc is _ILL_DEFINED or group is _ILL_DEFINED:
-                acc = _ILL_DEFINED
+            if acc is not _WALK and group is not _WALK:
+                total = Poly(n, group[2])  # drops the terms that cancelled
+                try:
+                    acc = acc + total.div_weight(Weight.of_exact(group[0]))
+                except NotDivisible:
+                    acc = _WALK
             else:
-                acc = frac_sum(group if acc is None else [acc, *group], n)
+                acc = _WALK
             cumulative.append((j, acc))
         sums[v] = cumulative[::-1]
 
@@ -426,13 +447,11 @@ def filtered_path_column(od: OrientedGraphData, filt: PathFilter, q: str) -> dic
     for p in od.graph.ids:
         s = suffix(p, 0) if q in reach[p] else None
         if s is None:
-            col[p] = Poly.zero(n)
-        elif s is _ILL_DEFINED or s[1]:
-            # frac_sum divided out every form it could, so a form left
-            # over means the sum is not a polynomial
+            col[p] = zero
+        elif s is _WALK:
             col[p] = filtered_path_sum(od, p, q, filt)[0]
         else:
-            col[p] = s[0]
+            col[p] = s.with_int_coefficients()
     return col
 
 

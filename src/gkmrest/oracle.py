@@ -4,7 +4,9 @@ is run.
 The reduced-subword localization formula computes restrictions on flag
 orbits from Weyl combinatorics alone: fix a reduced word for v; every
 subword that is a reduced word for w contributes the product of the
-prefix-transformed simple roots at its positions.  It shares no code path
+prefix-transformed simple roots at its positions.  A column is one pass
+along one reduced word of q, which keeps, per element, the sum over the
+reduced subwords read so far that multiply to it.  It shares no code path
 with the graph engines, which makes it a genuine oracle for them.
 
 ENGINES maps each engine name to how it computes an entry and the columns
@@ -46,6 +48,12 @@ from .orbits import (
 SUBWORD_CAP = 12
 
 
+def _check_cap(word: Sequence[int]):
+    if len(word) > SUBWORD_CAP:
+        raise SubwordCapExceeded(
+            f"reduced word of length {len(word)} exceeds the cap {SUBWORD_CAP}")
+
+
 def billey_restriction(rs: RootSystem, w: SignedPerm, v: SignedPerm,
                        word: Sequence[int] | None = None) -> Poly:
     """Sum over reduced subwords of a fixed reduced word of v that multiply
@@ -53,14 +61,13 @@ def billey_restriction(rs: RootSystem, w: SignedPerm, v: SignedPerm,
 
     The reduced word defaults to the lexicographically smallest one; the
     value does not depend on the choice.  Enumeration is exponential in
-    len(word), hence the hard cap."""
+    len(word), hence the hard cap.  This is the one-entry engine and the
+    reference for billey_column, which gives a whole column in one pass."""
     rs.validate_element(w)
     rs.validate_element(v)
     if word is None:
         word = lexmin_reduced_word(rs, v)
-    if len(word) > SUBWORD_CAP:
-        raise SubwordCapExceeded(
-            f"reduced word of length {len(word)} exceeds the cap {SUBWORD_CAP}")
+    _check_cap(word)
     prefix_roots = inversion_prefix_roots(rs, word)
     target = w.word
     lw = weyl_length(rs, w)
@@ -86,11 +93,29 @@ def billey_restriction(rs: RootSystem, w: SignedPerm, v: SignedPerm,
 
 def billey_column(orbit: Orbit, q: str) -> dict[str, Poly]:
     """billey_restriction from every element of the orbit to q, keyed by
-    vertex, with one reduced word of q."""
+    vertex, in one pass along one reduced word of q.
+
+    After position k of the word, sums[u] is the sum of the products over
+    the reduced subwords of its first k letters that multiply to u.  The
+    next letter s keeps each subword, and extends it when l(u s) = l(u) + 1,
+    times the letter's prefix-transformed root; u s determines u, so each
+    sum gains at most one term.  The cap is checked before the pass."""
     rs = orbit.rs
-    wq = SignedPerm(orbit.word_of_vid[q])
-    word = lexmin_reduced_word(rs, wq)
-    return {orbit.vid_of[wp.word]: billey_restriction(rs, wp, wq, word)
+    m = rs.ambient
+    word = lexmin_reduced_word(rs, SignedPerm(orbit.word_of_vid[q]))
+    _check_cap(word)
+    one = SignedPerm.identity(m)
+    sums = {one.word: (one, Poly.const(m, 1))}
+    for i, root in zip(word, inversion_prefix_roots(rs, word)):
+        s = rs.simple_perms[i]
+        for u, total in list(sums.values()):
+            if rs.is_right_ascent(u, i):
+                us = u * s
+                got = sums.get(us.word)
+                term = total.mul_weight(root)
+                sums[us.word] = (us, term if got is None else got[1] + term)
+    zero = Poly.zero(m)
+    return {orbit.vid_of[wp.word]: sums[wp.word][1] if wp.word in sums else zero
             for wp in orbit.elements}
 
 

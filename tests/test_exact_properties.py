@@ -17,7 +17,6 @@ sp = pytest.importorskip("sympy")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from gkmrest.canonical import _frac_times  # noqa: E402
 from gkmrest.errors import NotDivisible  # noqa: E402
 from gkmrest.exact import (  # noqa: E402
     LinFrac,
@@ -246,8 +245,8 @@ def sym_over(num: Poly, den: tuple):
 @given(linfrac_terms())
 def test_linfrac_product_and_frac_sum(args):
     """LinFrac products cancel (no form on both sides) and keep their value;
-    the column DP's _frac_times and frac_sum keep theirs, and frac_sum
-    leaves over only forms that do not divide its numerator."""
+    frac_sum keeps the value of the fractions linfrac_sum_to_poly hands it,
+    and leaves over only forms that do not divide its numerator."""
     n, terms = args
     prod = LinFrac.one(n)
     for f, _, value in terms:
@@ -255,7 +254,8 @@ def test_linfrac_product_and_frac_sum(args):
         prod = prod * f
     assert not set(prod.num) & set(prod.den)
     assert sp.cancel(sym_linfrac(prod) - sp.Mul(*(value for _, _, value in terms))) == 0
-    fracs = [_frac_times((m, ()), f) for f, m, _ in terms]
+    fracs = [(Poly.from_weight_product(n, map(Weight, f.num)).scale(f.scalar) * m, f.den)
+             for f, m, _ in terms]
     for (_, m, value), s in zip(terms, fracs):
         assert sp.cancel(sym_over(*s) - value * sym(m)) == 0
     total, left = frac_sum(fracs, n)

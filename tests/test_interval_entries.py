@@ -68,10 +68,10 @@ def test_every_rank_four_pair_typed(rank_four):
 
 
 def test_sampled_rank_four_pairs(rank_four):
-    """Every pair would take minutes for gz, brute and billey at rank four
-    (the billey table alone takes 47 s on D4), so these take 100 seeded
-    pairs with a nonzero value and 30 with a zero one.  billey is checked
-    against the gz table: its own table is too slow to build here."""
+    """Every pair would take minutes for gz, brute and billey entries at
+    rank four, so these take 100 seeded pairs with a nonzero value and 30
+    with a zero one.  billey entries are checked against the gz table; the
+    billey table itself is checked whole below."""
     orbit, tables = rank_four
     rng = random.Random(1)
     nonzero = sorted(k for k, v in tables["gz"].items() if not v.is_zero())
@@ -80,6 +80,13 @@ def test_sampled_rank_four_pairs(rank_four):
         for engine in ("gz", "brute", "billey"):
             want = tables["gz" if engine == "billey" else engine][(p, q)]
             assert engine_entry(orbit, engine, p, q)[0] == want, (engine, p, q)
+
+
+def test_billey_table_equals_gz(rank_four):
+    """One subword pass per column builds the whole rank-four billey
+    table in under a second."""
+    orbit, tables = rank_four
+    assert engine_entries(orbit, "billey") == tables["gz"]
 
 
 def test_brute_row_until_is_the_full_row_up_to_q():

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+import gkmrest.oracle as oracle
 from gkmrest.errors import GkmError, SubwordCapExceeded
 from gkmrest.exact import Poly, Weight, parse_poly
 from gkmrest.oracle import (
     ENGINES,
     SUBWORD_CAP,
     available_engines,
+    billey_column,
     billey_restriction,
     compare_tables,
     cross_validate,
@@ -192,6 +194,48 @@ class TestBilleyLengths:
             assert lexmin_reduced_word(rs, wq) == reference_lexmin_word(rs, wq)
             for wp in orbit.elements:
                 assert billey_restriction(rs, wp, wq) == reference_billey(rs, wp, wq), (wp, wq)
+
+
+class TestBilleyColumn:
+    """billey_column walks the reduced subwords of one word of q once for
+    the whole column; billey_restriction walks them again for each entry
+    and stays the reference."""
+
+    @staticmethod
+    def check(orbit, q):
+        rs, wq = orbit.rs, orbit.element(q)
+        column = billey_column(orbit, q)
+        assert list(column) == [orbit.vid_of[w.word] for w in orbit.elements]
+        return column, lambda p: billey_restriction(rs, orbit.element(p), wq)
+
+    @pytest.mark.parametrize("name", ["A2", "A3", "B2", "B3", "C3", "D3"])
+    def test_every_pair(self, name):
+        orbit = Orbit(OrbitSpec(name[0], int(name[1])))
+        for q in orbit.vid_of.values():
+            column, entry = self.check(orbit, q)
+            for p, value in column.items():
+                assert value == entry(p), (p, q)
+
+    @pytest.mark.parametrize("name", ["A4", "D4"])
+    def test_sampled_rank_four_pairs(self, name):
+        orbit = Orbit(OrbitSpec(name[0], 4))
+        rng = random.Random(f"billey-column:{name}")
+        for q in rng.sample(sorted(orbit.vid_of.values()), 8):
+            column, entry = self.check(orbit, q)
+            for p in rng.sample(sorted(column), 30):
+                assert column[p] == entry(p), (p, q)
+
+    def test_cap_is_checked_before_the_walk(self, monkeypatch):
+        orbit = Orbit(OrbitSpec("B", 4))
+        longest = max(orbit.elements, key=lambda w: orbit.length[w.word])
+        assert orbit.length[longest.word] > SUBWORD_CAP
+
+        def refuse(*args):
+            raise AssertionError("the column walked subwords above the cap")
+
+        monkeypatch.setattr(oracle, "inversion_prefix_roots", refuse)
+        with pytest.raises(SubwordCapExceeded):
+            billey_column(orbit, orbit.vid_of[longest.word])
 
 
 class TestCrossValidate:

@@ -1,19 +1,25 @@
 """Tests of the filtered path-sum tables: the registry's ordered and tower
-tables against the single-pair entry points, reachability pruning in the
-walker, error parity of the filters, and that each filter and each edge
-factor is built once per table."""
+tables against the single-pair entry points, the column DP against the
+walker on every pair and its hand-off to the walker, reachability pruning
+in the walker, error parity of the filters, and that each filter and each
+edge factor is built once per table."""
+
+from pathlib import Path
 
 import pytest
 
 import gkmrest.fibration as fibration
 import gkmrest.canonical as canonical
 from gkmrest.canonical import (
+    PathFilter,
     filtered_path_column,
+    filtered_path_sum,
     ordered_filter,
     restriction_ordered,
     single_form_column,
 )
 from gkmrest.errors import (
+    GkmError,
     GraphFormatError,
     NoSeparatingClass,
     NoSeparatingLevel,
@@ -28,7 +34,7 @@ from gkmrest.fibration import (
     tower_h_function,
     tower_restriction,
 )
-from gkmrest.gkm import GkmGraph, OrientedGraphData
+from gkmrest.gkm import GkmGraph, OrientedGraphData, choose_generic_xi
 from gkmrest.oracle import engine_entries
 from gkmrest.orbits import Orbit, OrbitSpec
 
@@ -145,6 +151,125 @@ class TestTableMatchesSinglePair:
         entries = engine_entries(b3, engine, jobs=1)
         assert len(entries) == len(b3.elements) ** 2
         assert calls == []
+
+
+def walker_column(od, filt, q):
+    """filtered_path_sum from every vertex to q in graph order, or the
+    first error it raises."""
+    col = {}
+    for p in od.graph.ids:
+        try:
+            col[p] = filtered_path_sum(od, p, q, filt)[0]
+        except GkmError as exc:
+            return exc
+    return col
+
+
+def column_or_error(od, filt, q):
+    try:
+        return filtered_path_column(od, filt, q)
+    except GkmError as exc:
+        return exc
+
+
+def same_outcome(got, want):
+    if isinstance(want, GkmError):
+        return type(got) is type(want) and str(got) == str(want)
+    return got == want
+
+
+class TestColumnMatchesWalker:
+    """filtered_path_column against filtered_path_sum on every pair.  On
+    the orbits and on the general-coordinate CP2 every sum stays a
+    polynomial, so the column never hands a source to the walker; a
+    hand-built filter whose sums are not polynomials is handed to it and
+    gives its values, or raises its first error."""
+
+    @staticmethod
+    def filters(orbit):
+        od = orbit.od
+        yield "ordered", ordered_filter(od, tower_classes(orbit))
+        yield "tower", tower_filter(od, orbit.tower())
+        if orbit.spec.ctype in ("A", "C"):
+            yield "coordinate", orbit.coordinate_filter
+
+    @staticmethod
+    def check_without_walker(od, filt, monkeypatch):
+        for q in od.graph.ids:
+            with monkeypatch.context() as m:
+                def refuse(*args):
+                    raise AssertionError("the column handed a source to the walker")
+                m.setattr(canonical, "filtered_path_sum", refuse)
+                column = filtered_path_column(od, filt, q)
+            assert tuple(column) == od.graph.ids
+            assert column == walker_column(od, filt, q), q
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "C3"])
+    def test_orbits(self, name, monkeypatch):
+        orbit = Orbit(OrbitSpec(name[0], int(name[1])))
+        for label, filt in self.filters(orbit):
+            self.check_without_walker(orbit.od, filt, monkeypatch)
+
+    def test_general_coordinates(self, monkeypatch):
+        path = Path(__file__).parent / "data" / "cp2_general_coordinates.json"
+        g = GkmGraph.from_json(path.read_text())
+        od = OrientedGraphData(g, choose_generic_xi(g))
+        assert any(sum(c != 0 for c in w.coords) >= 3 for w in g.weights.values())
+        self.check_without_walker(od, ordered_filter(od, [dict(g.moment)]), monkeypatch)
+
+    @staticmethod
+    def handed_off(od, filt, monkeypatch):
+        """Per target, the sources the column hands to the walker, and
+        whether the column matches the walker column or its error."""
+        out = {}
+        for q in od.graph.ids:
+            calls = []
+
+            def counted(od_, p, q_, filt_):
+                calls.append(p)
+                return filtered_path_sum(od_, p, q_, filt_)
+
+            with monkeypatch.context() as m:
+                m.setattr(canonical, "filtered_path_sum", counted)
+                got = column_or_error(od, filt, q)
+            assert same_outcome(got, walker_column(od, filt, q)), q
+            out[q] = (calls, isinstance(got, GkmError))
+        return out
+
+    @pytest.mark.parametrize("coords,at_111", [
+        # the class moves by e1 + e2 along every flip of the middle bit,
+        # against the edge weight e2, so those factors keep x2 in their
+        # denominators: every source with the middle bit clear crosses
+        # one to 111 and is handed off.  The walker's sums are polynomials
+        (lambda b: [b[0] + b[1], b[1], b[2]], (["000", "001", "100", "101"], False)),
+        # only the flips out of 001, 011, 100 and 110 keep a form, so 000
+        # is handed off because the sums it reads are; the walker raises
+        # at 000, and so does the column
+        (lambda b: [b[0], b[1] + b[0] * b[2], b[2]], (["000"], True)),
+    ], ids=["direct", "read"])
+    def test_factor_with_a_denominator_form(self, monkeypatch, coords, at_111):
+        od = cube_od()
+        cls = {v: Weight(coords([int(c) for c in v])) for v in od.graph.ids}
+        filt = ordered_filter(od, [cls])
+        assert any(filt.factor(a, b).den for a in od.graph.ids for b in od.up[a])
+        assert self.handed_off(od, filt, monkeypatch)["111"] == at_111
+
+    def test_level_sum_that_does_not_divide(self, monkeypatch):
+        # every factor is a scalar, but level one's class moves by
+        # x2 - x3 along the edges of level two, so the level-one sum at
+        # 001 towards 111 is not divisible by its denominator; the walker
+        # raises, and the column raises its first error
+        od = cube_od()
+        h = {(a, b): 1 if a[0] != b[0] else 2 for a in od.graph.ids for b in od.up[a]}
+        levels = (
+            {v: Weight([int(v[0]), int(v[1]) - int(v[2]), 0]) for v in od.graph.ids},
+            {v: Weight([0, int(v[1]), 2 * int(v[2])]) for v in od.graph.ids},
+        )
+        filt = PathFilter(od, h, lambda j, v: levels[j - 1][v])
+        assert not any(filt.factor(a, b).den for a, b in h)
+        outcome = self.handed_off(od, filt, monkeypatch)
+        assert outcome["111"] == (["001"], True)
+        assert {q for q, (calls, _) in outcome.items() if calls} == {"101", "110", "111"}
 
 
 class TestPruning:
