@@ -31,6 +31,9 @@ from .oracle import ENGINES, cross_validate, engine_entries, engine_entry, orien
 from .orbits import Orbit, OrbitSpec, SignedPerm, build_orbit_gkm
 
 
+_SEED_HELP = "accepted for compatibility; the generic direction does not depend on it"
+
+
 def _add_source_args(sub, orbit_only=False):
     if not orbit_only:
         sub.add_argument("--graph", help="graph JSON file")
@@ -38,8 +41,7 @@ def _add_source_args(sub, orbit_only=False):
                      help="orbit family")
     sub.add_argument("--rank", type=int, help="orbit rank")
     sub.add_argument("--mu", help="comma-separated regular point overriding the default")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for the generic direction search on graph input")
+    sub.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
 
 
 def _read_graph(path: str) -> GkmGraph:
@@ -62,6 +64,12 @@ def _load_target(args):
         if not rep.ok:
             raise GkmError(f"invalid graph:\n{rep}")
         return OrientedGraphData(g, choose_generic_xi(g, seed=args.seed))
+    return _orbit(args)
+
+
+def _orbit(args) -> Orbit:
+    """The Orbit of --type, --rank and --mu; its graph is built on first
+    use."""
     if args.ctype is None or args.rank is None:
         raise GkmError("need --graph or both --type and --rank")
     mu = None
@@ -139,10 +147,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    spec = OrbitSpec(args.ctype, args.rank,
-                     mu=args.mu.split(",") if args.mu else None)
-    level = args.level if args.level is not None else args.rank
-    g = build_orbit_gkm(spec, level)
+    g = build_orbit_gkm(_orbit(args), args.level)
     if args.format == "dot":
         od = OrientedGraphData(g, choose_generic_xi(g, seed=args.seed))
         print(export_dot(od))
@@ -183,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="check the graph axioms")
     p_val.add_argument("--graph", required=True)
-    p_val.add_argument("--seed", type=int, default=0)
+    p_val.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
 
     p_res = sub.add_parser("restrict", help="one restriction value")
     _add_source_args(p_res)
@@ -207,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb.add_argument("--rank", type=int, required=True)
     p_orb.add_argument("--mu")
     p_orb.add_argument("--level", type=int)
-    p_orb.add_argument("--seed", type=int, default=0)
+    p_orb.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p_orb.add_argument("--format", choices=("json", "dot"), default="json")
 
     p_cmp = sub.add_parser("compare", help="multi-engine agreement report")

@@ -11,7 +11,6 @@ pairs positively with xi.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter, sub
@@ -209,25 +208,17 @@ def magnitude(g: GkmGraph, src: str, dst: str) -> int | Fraction:
 
 
 def choose_generic_xi(g: GkmGraph, seed: int = 0) -> Weight:
-    """Pick a direction pairing nonzero with every edge weight.
+    """A direction pairing nonzero with every edge weight: (1, B, B^2, ...)
+    with B one more than the largest l1 norm of a primitive edge weight.
 
-    First candidate is (1, B, B^2, ...) with B one more than the largest
-    coordinate sum of a primitive edge weight, which dominates every bad
-    hyperplane; a seeded random search is the fallback.  Deterministic for
-    a given seed."""
+    For a primitive weight p with highest nonzero coordinate k,
+    |p_k B^k| >= B^k, while the lower terms of <p, xi> sum to at most
+    (sum_{i<k} |p_i|) B^(k-1) < B^k, the l1 norm of p being below B: the
+    pairing is never zero.  The seed is accepted for compatibility; the
+    direction does not depend on it."""
     prims = {w.primitive()[0] for w in g.weights.values() if not w.is_zero()}
-    bound = max((sum(abs(c) for c in p) for p in prims), default=1)
-    base = bound + 1
-    candidate = Weight([base ** i for i in range(g.rank)])
-    if all(pair(Weight(p), candidate) != 0 for p in prims):
-        return candidate
-    rng = random.Random(seed)
-    span = 10 * max(len(prims), 1)
-    for _ in range(10000):
-        candidate = Weight([rng.randint(1, span) for _ in range(g.rank)])
-        if all(pair(Weight(p), candidate) != 0 for p in prims):
-            return candidate
-    raise GenericityError("no generic direction found; graph weights may be degenerate")
+    base = 1 + max((sum(map(abs, p)) for p in prims), default=1)
+    return Weight([base ** i for i in range(g.rank)])
 
 
 class OrientedGraphData:

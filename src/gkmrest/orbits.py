@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import lcm
 from operator import itemgetter, neg
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .canonical import PathFilter, PathTerm, RestrictionTable, filtered_path_column, ordered_filter
 from .errors import GraphFormatError, ThetaNotOne
@@ -378,10 +378,6 @@ class OrbitSpec:
         return f"OrbitSpec({self.ctype}{self.rank}, mu={self.mu})"
 
 
-def _vertex_id(point: Weight) -> str:
-    return _format_point(point.coords)
-
-
 def _format_point(coords: tuple) -> str:
     # str of an int or a Fraction is its format_scalar text
     return ",".join(map(str, coords))
@@ -413,49 +409,34 @@ def _with_negation(pt: tuple) -> tuple:
     return pt + tuple(map(neg, pt))
 
 
-def build_orbit_gkm(spec: OrbitSpec, level: int | None = None,
-                    vids: Mapping[tuple, str] | None = None) -> GkmGraph:
+def build_orbit_gkm(orbit: Orbit, level: int | None = None) -> GkmGraph:
     """Orbit graph at a tower level (default: the top level): vertices are
     the orbit points, edges join reflection pairs, and each edge carries
     the root that pairs positively with its head.
 
-    The orbit is walked on integer tuples (the point times the common
-    denominator of its coordinates), each point kept with its negation, so
-    that a reflection acts through one itemgetter.  vids, when given, maps
-    the coordinates of every top-level point to its vertex id, in the order
-    of that walk, as Orbit walks them from its group (Orbit.__init__); the
-    orbit is then not walked again."""
+    The points are read off the group's words: the word of w, read through
+    the level point, gives w^-1(mu_j), and in the order of the group's walk
+    the first of each point comes in the order of a breadth-first walk over
+    the points.  They are taken as integer tuples (the point times the
+    common denominator of its coordinates), each kept with its negation, so
+    that a reflection acts through one itemgetter."""
+    spec = orbit.spec
     rs = spec.rs
-    mu = spec.level_mu(level if level is not None else spec.rank)
-    den = 1
-    for c in mu.coords:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // gcd(den, c.denominator)
-    if vids is not None:
-        points = {}
-        for coords in vids:
-            pt = coords if den == 1 else tuple(int(c * den) for c in coords)
+    j = level if level is not None else spec.rank
+    mu = spec.level_mu(j)
+    den = lcm(*(c.denominator for c in mu.coords))
+    at = _signed_entries(tuple(int(c * den) for c in mu.coords))
+    # the point read through w is that of w^-1, whose vertex id the orbit has
+    ids = orbit.level_ids(j)
+    points, vid = {}, {}
+    for w, inv in orbit._inverse.items():
+        pt = tuple(map(at, w))
+        if pt not in points:
             points[pt] = _with_negation(pt)
-    else:
-        start = tuple(int(c * den) for c in mu.coords)
-        simple = [_signed_getter(s) for s in rs.simple_perms]
-        points = {start: _with_negation(start)}  # the orbit in breadth-first order
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for pt in frontier:
-                both = points[pt]
-                for act in simple:
-                    img = act(both)
-                    if img not in points:
-                        points[img] = _with_negation(img)
-                        nxt.append(img)
-            frontier = nxt
+            vid[pt] = ids[inv]
     exact = {pt: pt if den == 1 else
              tuple(c // den if c % den == 0 else Fraction(c, den) for c in pt)
              for pt in points}
-    vid = {pt: vids[coords] if vids is not None else _format_point(coords)
-           for pt, coords in exact.items()}
     vertices = [(vid[pt], Weight.of_exact(exact[pt])) for pt in sorted(points)]
     # the reflection across a root moves pt by a positive multiple of
     # -<pt, root> times the root, and every positive root's first nonzero
@@ -478,10 +459,7 @@ def build_orbit_gkm(spec: OrbitSpec, level: int | None = None,
 def orbit_xi(spec: OrbitSpec) -> Weight:
     """Strictly decreasing positive coordinates, with spread large enough
     that phi separates orbit points and pairs nonzero with every root."""
-    den = 1
-    for c in spec.mu.coords:
-        f = Fraction(c)
-        den = den * f.denominator // gcd(den, f.denominator)
+    den = lcm(*(c.denominator for c in spec.mu.coords))
     scale = max(1, max(abs(int(Fraction(c) * den)) for c in spec.mu.coords))
     base = 2 * scale + 2
     m = spec.rs.ambient
@@ -521,20 +499,13 @@ class Orbit:
             frontier = nxt
         self.length: dict[tuple, int] = length
         self._inverse: dict[tuple, tuple] = inverse
-        # point coordinates -> vertex id, each formatted once.  Read off
-        # the words themselves, the points are those of the inverses,
-        # which come in the order of build_orbit_gkm's walk (its points
-        # are s * w^-1 (mu) for w * s here); the graph reads this map.
-        mu_at = _signed_entries(self.mu.coords)
-        self._vid_at: dict[tuple, str] = {}
-        vid_of_inverse = {}
-        for w, inv in inverse.items():
-            pt = tuple(map(mu_at, w))
-            vid_of_inverse[inv] = self._vid_at[pt] = _format_point(pt)
-        if len(self._vid_at) < len(length):
-            raise GraphFormatError("orbit point hit twice; mu is not regular")
-        self.vid_of: dict[tuple, str] = {w: vid_of_inverse[w] for w in length}
+        # element word -> vertex id, the top level's entry of level_ids
+        self.vid_of: dict[tuple, str] = {
+            w: _format_point(pt) for w, pt in self._points(self.mu).items()}
+        self._level_ids: dict[int, dict[tuple, str]] = {spec.rank: self.vid_of}
         self.word_of_vid: dict[str, tuple] = {vid: w for w, vid in self.vid_of.items()}
+        if len(self.word_of_vid) < len(length):
+            raise GraphFormatError("orbit point hit twice; mu is not regular")
         self.xi = orbit_xi(spec)
         self._covers: dict[tuple, tuple] = {}
         self._base_od: OrientedGraphData | None = None
@@ -558,7 +529,7 @@ class Orbit:
     def od(self) -> OrientedGraphData:
         """The oriented top-level graph, built and certified on first use;
         the group-side lookups and the billey engine never need it."""
-        od = OrientedGraphData(build_orbit_gkm(self.spec, vids=self._vid_at), self.xi)
+        od = OrientedGraphData(build_orbit_gkm(self), self.xi)
         self._certify(od)
         return od
 
@@ -566,6 +537,16 @@ class Orbit:
         """The coordinates of w(mu) for each element w, by its word."""
         at = _signed_entries(mu.coords)
         return {w: tuple(map(at, inv)) for w, inv in self._inverse.items()}
+
+    def level_ids(self, j: int) -> dict[tuple, str]:
+        """Element word -> the vertex id of w(mu_j) at tower level j, each
+        point formatted once per orbit (vid_of is the top level's)."""
+        got = self._level_ids.get(j)
+        if got is None:
+            points = self._points(self.spec.level_mu(j))
+            text = {pt: _format_point(pt) for pt in set(points.values())}
+            got = self._level_ids[j] = {w: text[pt] for w, pt in points.items()}
+        return got
 
     def _certify(self, od: OrientedGraphData):
         phis = sorted(od.phi.values())
@@ -636,26 +617,21 @@ class Orbit:
     def tower(self) -> TowerSpec:
         levels = []
         for j in range(1, self.spec.rank + 1):
-            muj = self.spec.level_mu(j)
-            proj: dict[str, str] = {}
-            mom: dict[str, Weight] = {}
-            for w, pt in self._points(muj).items():
-                v = self.vid_of[w]
-                proj[v] = _format_point(pt)
-                mom[v] = Weight.of_exact(pt)
-            levels.append(TowerLevel(projection=proj, moment=mom))
+            ids, points = self.level_ids(j), self._points(self.spec.level_mu(j))
+            levels.append(TowerLevel(
+                projection={self.vid_of[w]: vid for w, vid in ids.items()},
+                moment={self.vid_of[w]: Weight.of_exact(pt) for w, pt in points.items()}))
         return TowerSpec(levels)
 
     def base_od(self) -> OrientedGraphData:
         if self._base_od is None:
             self._base_od = OrientedGraphData(
-                build_orbit_gkm(self.spec, 1), self.xi)
+                build_orbit_gkm(self, 1), self.xi)
         return self._base_od
 
     def base_fibration(self) -> FibrationSpec:
         if self._base_fib is None:
-            vmap = {self.vid_of[w]: _format_point(pt)
-                    for w, pt in self._points(self.spec.level_mu(1)).items()}
+            vmap = {self.vid_of[w]: vid for w, vid in self.level_ids(1).items()}
             self._base_fib = FibrationSpec(self.base_od(), vmap)
         return self._base_fib
 
@@ -689,7 +665,7 @@ class Orbit:
         child_xi = Weight([self.xi.coords[i] for i in free])
         child_min = min(stripped.values(), key=lambda w: pair(w, child_xi))
         child = self.child(self.spec.ctype, self.spec.rank - 1, child_min)
-        vid_map = {v: _vertex_id(pt) for v, pt in stripped.items()}
+        vid_map = {v: _format_point(pt.coords) for v, pt in stripped.items()}
         got = self._fiber_children[b] = (child, free, vid_map)
         return got
 
@@ -762,8 +738,8 @@ class Orbit:
         """Rank-three type D only: each vertex's vertex in the type A orbit
         of the translated point (see _d3_column_via_a3), in graph order;
         read off the points, without the graph."""
-        return {self._vid_at[pt]: _vertex_id(_d3_point_to_a3(Weight.of_exact(pt)))
-                for pt in sorted(self._vid_at)}
+        return {self.vid_of[w]: _format_point(_d3_point_to_a3(Weight.of_exact(pt)).coords)
+                for w, pt in sorted(self._points(self.mu).items(), key=itemgetter(1))}
 
 
 def canonical_graph_orbit(orbit: Orbit, verify_theta: bool = True) -> CanonicalGraph:
@@ -837,15 +813,11 @@ def formula_AC(orbit: Orbit, p, q) -> tuple[Poly, list[PathTerm]]:
     ledger: list[PathTerm] = []
     for path, slots in _monotone_cover_paths(orbit, wp, wq):
         value = lam_q
-        dead = False
+        # a cover at slot i moves the entry there strictly up in the order
+        # 1 < .. < n < -n < .. < -1, and later covers have slots >= i: no
+        # step starts with q's entry at its slot, so no difference is zero
         for w, slot in zip(path, slots):
-            den = _unit(w.word[slot - 1], m) - _unit(wq.word[slot - 1], m)
-            if den.is_zero():
-                dead = True
-                break
-            value = value.div_weight(den)
-        if dead:
-            continue
+            value = value.div_weight(_unit(w.word[slot - 1], m) - _unit(wq.word[slot - 1], m))
         ledger.append(PathTerm(tuple(orbit.vid_of[w.word] for w in path),
                                value, slots))
     total = linfrac_sum_to_poly([t.value for t in ledger], m)
@@ -872,7 +844,7 @@ def lift_path(orbit: Orbit, start, base_path: Sequence[str]) -> tuple[str, ...]:
                 raise GraphFormatError(f"base step ({a},{b}) is not a reflection step")
         rr = Fraction(2) * pair(v, root) / pair(root, root)
         v = v - rr * root
-        out.append(_vertex_id(v))
+        out.append(_format_point(v.coords))
     if out[-1] not in orbit.word_of_vid:
         raise GraphFormatError("lift left the orbit; corrupt base path")
     return tuple(out)
@@ -891,7 +863,7 @@ def reflection_word_endpoint(orbit: Orbit, start, base_path: Sequence[str]) -> s
             root = 2 * root
         w = orbit.rs.reflection_perm(root) * w
     pt = w.act(orbit.od.graph.moment[orbit.vertex(start)])
-    return _vertex_id(pt)
+    return _format_point(pt.coords)
 
 
 @dataclass

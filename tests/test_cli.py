@@ -390,6 +390,13 @@ class TestOrbitCommand:
         g = GkmGraph.from_json(out)
         assert len(g.ids) == 6
 
+    @pytest.mark.parametrize("level", ["0", "4", "-1"])
+    def test_level_out_of_range_exits_2(self, capsys, level):
+        code = main(["orbit", "--type", "D", "--rank", "3", f"--level={level}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"level {level} out of range" in captured.err
+
     def test_dot_format(self, capsys):
         code, out = run(capsys, "orbit", "--type", "A", "--rank", "1",
                         "--format", "dot")

@@ -1,6 +1,8 @@
 """Tests for the moment-graph layer."""
 
 import json
+import random
+from math import gcd
 
 import pytest
 
@@ -77,6 +79,27 @@ class TestGenericXi:
                      [("a", "b", Weight((1, -1)))])
         xi = choose_generic_xi(g)
         assert xi.coords[0] != xi.coords[1]
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_geometric_candidate_on_random_weights(self, rank):
+        """The first candidate is always the answer: for every set of
+        nonzero integer weights, (1, B, B^2, ...) with B one more than the
+        largest l1 norm of a primitive weight pairs nonzero with each."""
+        rng = random.Random(rank)
+        for _ in range(200):
+            span, count = rng.choice((1, 2, 5, 30)), rng.randint(1, 8)
+            weights = []
+            while len(weights) < count:
+                w = [rng.randint(-span, span) for _ in range(rank)]
+                if any(w):
+                    weights.append(Weight([rng.randint(1, 3) * c for c in w]))
+            verts = [("o", Weight((0,) * rank))] + [(f"v{i}", w) for i, w in enumerate(weights)]
+            edges = [("o", f"v{i}", w) for i, w in enumerate(weights)]
+            g = GkmGraph(rank, verts, edges)
+            base = 1 + max(sum(abs(c) for c in w.coords) // gcd(*w.coords) for w in weights)
+            xi = choose_generic_xi(g, seed=rng.randint(0, 99))
+            assert xi == Weight([base ** i for i in range(rank)])
+            assert all(pair(w, xi) != 0 for w in g.weights.values())
 
     def test_oriented_rejects_degenerate(self, cp2):
         with pytest.raises(GenericityError):

@@ -13,7 +13,7 @@ from gkmrest.orbits import Orbit, OrbitSpec, build_orbit_gkm, weyl_length
 
 from conftest import product_of_projective_spaces
 
-# sha256 of json.dumps(build_orbit_gkm(spec, level).to_json(),
+# sha256 of json.dumps(build_orbit_gkm(orbit, level).to_json(),
 # sort_keys=True), first 16 hex digits, at the default regular point
 GRAPH_SHA256 = {
     ("A", 2): ("a59da8086d7b51e8", "8c1018dd0edf0d63"),
@@ -62,8 +62,8 @@ def sha16(text: str) -> str:
 
 @pytest.mark.parametrize("ctype,rank", sorted(GRAPH_SHA256))
 def test_orbit_graphs_unchanged_at_every_level(ctype, rank):
-    spec = OrbitSpec(ctype, rank)
-    got = tuple(sha16(json.dumps(build_orbit_gkm(spec, level).to_json(), sort_keys=True))
+    orbit = Orbit(OrbitSpec(ctype, rank))
+    got = tuple(sha16(json.dumps(build_orbit_gkm(orbit, level).to_json(), sort_keys=True))
                 for level in range(1, rank + 1))
     assert got == GRAPH_SHA256[(ctype, rank)]
 

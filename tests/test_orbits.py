@@ -151,7 +151,7 @@ class TestWeylLength:
 
 class TestOrbitGraphs:
     def test_a1_smallest(self):
-        g = build_orbit_gkm(OrbitSpec("A", 1))
+        g = build_orbit_gkm(Orbit(OrbitSpec("A", 1)))
         assert len(g.ids) == 2
         assert len(g.weights) == 2
         (src, dst), w = next(iter(g.weights.items()))
@@ -159,7 +159,7 @@ class TestOrbitGraphs:
 
     def test_valid_gkm(self):
         for ctype, rank in (("A", 2), ("B", 2), ("C", 2), ("D", 3)):
-            g = build_orbit_gkm(OrbitSpec(ctype, rank))
+            g = build_orbit_gkm(Orbit(OrbitSpec(ctype, rank)))
             assert validate_gkm(g).ok, f"{ctype}{rank}"
 
     def test_b_base_vertices_and_order(self):
@@ -176,8 +176,7 @@ class TestOrbitGraphs:
         assert magnitude(base.graph, "-1", "1") == 2
 
     def test_d_base_no_axis_edges(self):
-        spec = OrbitSpec("D", 3)
-        g = build_orbit_gkm(spec, 1)
+        g = build_orbit_gkm(Orbit(OrbitSpec("D", 3)), 1)
         assert not g.has_edge("-1,0,0", "1,0,0")
         mags = {magnitude(g, s, d) for (s, d) in g.weights}
         assert mags == {Fraction(1)}

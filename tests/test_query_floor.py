@@ -154,20 +154,30 @@ def same_graph(got: GkmGraph, want: GkmGraph):
 @pytest.mark.parametrize("ctype,rank", TOP_LEVEL)
 def test_orbit_graph_matches_the_index_table_walk(ctype, rank):
     spec = OrbitSpec(ctype, rank)
-    same_graph(build_orbit_gkm(spec), reference_orbit_gkm(spec, rank))
+    same_graph(build_orbit_gkm(Orbit(spec)), reference_orbit_gkm(spec, rank))
 
 
 @pytest.mark.parametrize("ctype,rank,mu", CUSTOM_MU)
 def test_orbit_graph_at_a_custom_point_matches(ctype, rank, mu):
     spec = OrbitSpec(ctype, rank, mu=mu.split(","))
-    same_graph(build_orbit_gkm(spec), reference_orbit_gkm(spec, rank))
+    same_graph(build_orbit_gkm(Orbit(spec)), reference_orbit_gkm(spec, rank))
 
 
-@pytest.mark.parametrize("ctype,rank", [("A", 4), ("D", 4)])
+@pytest.mark.parametrize("ctype,rank", [("A", 4), ("D", 4), ("B", 3), ("C", 3)])
 def test_orbit_graph_matches_at_every_tower_level(ctype, rank):
+    # below the top level the points repeat along the group's walk
     spec = OrbitSpec(ctype, rank)
+    orbit = Orbit(spec)
     for level in range(1, rank + 1):
-        same_graph(build_orbit_gkm(spec, level), reference_orbit_gkm(spec, level))
+        same_graph(build_orbit_gkm(orbit, level), reference_orbit_gkm(spec, level))
+
+
+@pytest.mark.parametrize("ctype,rank,mu", CUSTOM_MU)
+def test_orbit_graph_at_a_custom_point_matches_at_every_tower_level(ctype, rank, mu):
+    spec = OrbitSpec(ctype, rank, mu=mu.split(","))
+    orbit = Orbit(spec)
+    for level in range(1, rank + 1):
+        same_graph(build_orbit_gkm(orbit, level), reference_orbit_gkm(spec, level))
 
 
 def test_orbit_vertices_read_from_the_group_match():
