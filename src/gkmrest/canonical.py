@@ -18,7 +18,8 @@ values alpha_p(q) by several independent routes:
     program over (vertex, level) suffix sums kept as polynomials, with one
     exact division per vertex and level (filtered_path_column), which
     builds the ordered and tower tables and the typed A/C columns, and
-    hands a sum that is not a polynomial to the walker;
+    hands the whole column to the walker at the first sum that is not a
+    polynomial;
   * a solver that knows nothing about path formulas and only imposes the
     defining vanishing conditions together with the edge-divisibility
     congruences of localization (brute_row).
@@ -104,16 +105,24 @@ class RestrictionTable:
         yield "{}" if sep == "{" else "}"
 
     def to_csv(self) -> str:
+        """One row per entry; a vertex id that holds a comma, a quote or a
+        line break, such as an orbit point, is quoted as in RFC 4180."""
         lines = ["p,q,lam_p,lam_q,degree,terms,integer_coeffs,poly"]
         od = self.od
         for (p, q), poly in sorted(self.entries.items()):
             lines.append(",".join([
-                p, q, str(od.lam[p]), str(od.lam[q]),
+                _csv_field(p), _csv_field(q), str(od.lam[p]), str(od.lam[q]),
                 str(poly.degree()), str(len(poly.terms)),
                 str(poly.integer_coefficients()).lower(),
                 f'"{poly}"',
             ]))
         return "\n".join(lines)
+
+
+def _csv_field(text: str) -> str:
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _require_index_increasing(od: OrientedGraphData):
@@ -341,10 +350,9 @@ def filtered_path_sum(
     return linfrac_sum_to_poly([t.value for t in ledger], n), ledger
 
 
-# the suffix sum of a vertex some monotone completion of which crosses an
-# edge with a vanishing denominator, or which the column cannot keep as a
-# polynomial; every source that reads it is handed to filtered_path_sum
-_WALK = object()
+class _NotPolynomial(Exception):
+    """A suffix sum that filtered_path_column cannot keep as a polynomial;
+    the whole column is then handed to filtered_path_sum."""
 
 
 def filtered_path_column(od: OrientedGraphData, filt: PathFilter, q: str) -> dict[str, Poly]:
@@ -362,16 +370,15 @@ def filtered_path_column(od: OrientedGraphData, filt: PathFilter, q: str) -> dic
     The sums are kept as polynomials.  The edges of one level j at v share
     the denominator w_j(q) - w_j(v) = scale * form, with form primitive:
     the sums S(u, j) are added up, each times its factor's scalar over
-    scale, and the total is divided once, exactly, by form.  A factor with
-    a form in its denominator, or a level total that form does not divide,
-    makes the sum not a polynomial.
+    scale, and the total is divided once, exactly, by form.  A vertex with
+    no monotone path to q has no sum, so an edge into it never counts, as
+    in the walker.
 
-    A vertex with no monotone path to q has no sum, so an edge into it
-    never counts, as in the walker.  An edge with a vanishing denominator
-    on a monotone path to q makes every sum that contains it ill-defined.
-    An entry whose sum is ill-defined or not a polynomial is handed to
-    filtered_path_sum, which gives the walker's value, or raises its own
-    error, for that pair; the first such p in graph order is named."""
+    The program stops at the first sum it cannot keep as a polynomial: a
+    vanishing denominator on a monotone path to q, a factor with a form in
+    its denominator, or a level total that its form does not divide.  The
+    column is then filtered_path_sum from every p in graph order, which
+    gives the walker's values, or raises its first error."""
     _require_index_increasing(od)
     n = od.rank
     zero = Poly.zero(n)
@@ -387,71 +394,61 @@ def filtered_path_column(od: OrientedGraphData, filt: PathFilter, q: str) -> dic
         return next((s for level, s in sums[u] if level >= j), None)
 
     # (level, w_level(level, v)) -> the primitive split of w_level(level, q)
-    # minus it, None when that vanishes; a level takes few values
+    # minus it; a level takes few values
     splits: dict = {}
 
     def split(j: int, v: str):
         key = (j, filt.w_level(j, v))
         if key not in splits:
             den = filt.w_level(j, q) - key[1]
-            splits[key] = None if den.is_zero() else den.primitive()
+            if den.is_zero():
+                raise _NotPolynomial
+            splits[key] = den.primitive()
         return splits[key]
 
-    for v in reversed(od.order):
-        if v == q or q not in reach[v]:
-            continue
-        # level -> (form, scale, terms of the total of its edges), or _WALK
-        groups: dict[int, tuple] = {}
-        for u in od.up[v]:
-            if q not in reach[u]:
+    try:
+        for v in reversed(od.order):
+            if v == q or q not in reach[v]:
                 continue
-            j = filt.h_edge[(v, u)]
-            s = suffix(u, j)
-            if s is None:
-                continue
-            group = groups.get(j)
-            if group is None:
-                den = split(j, v)
-                group = groups[j] = _WALK if den is None else (*den, {})
-            if group is _WALK:
-                continue
-            if s is _WALK:
-                groups[j] = _WALK
-            elif s.terms:
-                f = filt.factor(v, u)
-                if f.den:
-                    groups[j] = _WALK
+            # level -> (form, scale, terms of the total of its edges)
+            groups: dict[int, tuple] = {}
+            for u in od.up[v]:
+                if q not in reach[u]:
                     continue
-                for form in f.num:
-                    s = s.mul_weight(Weight(form))
-                c = _div_scalar(f.scalar, group[1])
-                total = group[2]
-                for e, a in s.terms.items():
-                    total[e] = total.get(e, 0) + c * a
-        cumulative = []
-        acc = zero
-        for j in sorted(groups, reverse=True):
-            group = groups[j]
-            if acc is not _WALK and group is not _WALK:
-                total = Poly(n, group[2])  # drops the terms that cancelled
-                try:
-                    acc = acc + total.div_weight(Weight.of_exact(group[0]))
+                j = filt.h_edge[(v, u)]
+                s = suffix(u, j)
+                if s is None:
+                    continue
+                group = groups.get(j)
+                if group is None:
+                    group = groups[j] = (*split(j, v), {})
+                if s.terms:
+                    f = filt.factor(v, u)
+                    if f.den:
+                        raise _NotPolynomial
+                    for form in f.num:
+                        s = s.mul_weight(Weight(form))
+                    c = _div_scalar(f.scalar, group[1])
+                    total = group[2]
+                    for e, a in s.terms.items():
+                        total[e] = total.get(e, 0) + c * a
+            cumulative = []
+            acc = zero
+            for j in sorted(groups, reverse=True):
+                form, _, terms = groups[j]
+                try:  # Poly drops the terms that cancelled
+                    acc = acc + Poly(n, terms).div_weight(Weight.of_exact(form))
                 except NotDivisible:
-                    acc = _WALK
-            else:
-                acc = _WALK
-            cumulative.append((j, acc))
-        sums[v] = cumulative[::-1]
+                    raise _NotPolynomial from None
+                cumulative.append((j, acc))
+            sums[v] = cumulative[::-1]
+    except _NotPolynomial:
+        return {p: filtered_path_sum(od, p, q, filt)[0] for p in od.graph.ids}
 
     col: dict[str, Poly] = {}
     for p in od.graph.ids:
         s = suffix(p, 0) if q in reach[p] else None
-        if s is None:
-            col[p] = zero
-        elif s is _WALK:
-            col[p] = filtered_path_sum(od, p, q, filt)[0]
-        else:
-            col[p] = s.with_int_coefficients()
+        col[p] = zero if s is None else s.with_int_coefficients()
     return col
 
 

@@ -34,9 +34,8 @@ from .orbits import Orbit, OrbitSpec, SignedPerm, build_orbit_gkm
 _SEED_HELP = "accepted for compatibility; the generic direction does not depend on it"
 
 
-def _add_source_args(sub, orbit_only=False):
-    if not orbit_only:
-        sub.add_argument("--graph", help="graph JSON file")
+def _add_source_args(sub):
+    sub.add_argument("--graph", help="graph JSON file")
     sub.add_argument("--type", dest="ctype", choices=("A", "B", "C", "D"),
                      help="orbit family")
     sub.add_argument("--rank", type=int, help="orbit rank")

@@ -176,24 +176,8 @@ def rho_project(x: Weight, eta: Weight, xi: Weight) -> Weight:
 
 
 def format_weight(coords: Sequence) -> str:
-    parts = []
-    for i, c in enumerate(coords):
-        if c == 0:
-            continue
-        var = f"x{i + 1}"
-        if c == 1:
-            term = var
-        elif c == -1:
-            term = f"-{var}"
-        else:
-            term = f"{format_scalar(c)}*{var}"
-        if parts and not term.startswith("-"):
-            parts.append("+ " + term)
-        elif parts:
-            parts.append("- " + term[1:])
-        else:
-            parts.append(term)
-    return " ".join(parts) if parts else "0"
+    """The linear form sum_i c_i * x_i as str(Poly) writes it."""
+    return str(Poly.from_weight(Weight.of_exact(tuple(coords))))
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,24 @@ class TestTableSerialization:
         assert csv.splitlines()[0].startswith("p,q,lam_p")
         assert "true" in csv
 
+    @pytest.mark.parametrize("name", ["C2", "B3"])
+    def test_csv_reads_back_with_orbit_ids(self, name):
+        """Orbit ids such as '-1,-2' hold commas; the CSV quotes them."""
+        import csv
+        from gkmrest.orbits import Orbit, OrbitSpec
+        orbit = Orbit(OrbitSpec(name[0], int(name[1])))
+        od = orbit.od
+        tab = restriction_table(orbit)
+        rows = list(csv.reader(tab.to_csv().splitlines()))
+        assert rows[0] == ["p", "q", "lam_p", "lam_q", "degree", "terms",
+                           "integer_coeffs", "poly"]
+        assert len(rows) == 1 + len(od.graph.ids) ** 2
+        for row in rows[1:]:
+            assert len(row) == 8
+            p, q, lam_p, lam_q, _, _, _, poly = row
+            assert (int(lam_p), int(lam_q)) == (od.lam[p], od.lam[q])
+            assert poly == str(tab.get(p, q))
+
     @pytest.mark.parametrize("ctype", ["A", "B", "C"])
     def test_json_chunks_match_json_dumps_on_orbits(self, ctype):
         from gkmrest.orbits import Orbit, OrbitSpec

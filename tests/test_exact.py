@@ -12,6 +12,7 @@ from gkmrest.exact import (
     Weight,
     _as_exact,
     format_scalar,
+    format_weight,
     linfrac_sum_to_poly,
     pair,
     parse_poly,
@@ -313,6 +314,50 @@ class TestScalarText:
                                {"exp": [0, 1], "coeff": "4/2"}])
         assert p.terms == {(1, 0): -3, (0, 1): 2}
         assert all(type(c) is int for c in p.terms.values())
+
+
+def _reference_format_weight(coords):
+    """The former hand-written text of a linear form, kept as the
+    reference for format_weight."""
+    parts = []
+    for i, c in enumerate(coords):
+        if c == 0:
+            continue
+        var = f"x{i + 1}"
+        if c == 1:
+            term = var
+        elif c == -1:
+            term = f"-{var}"
+        else:
+            term = f"{format_scalar(c)}*{var}"
+        if parts and not term.startswith("-"):
+            parts.append("+ " + term)
+        elif parts:
+            parts.append("- " + term[1:])
+        else:
+            parts.append(term)
+    return " ".join(parts) if parts else "0"
+
+
+class TestWeightText:
+    COEFFS = [0, 1, -1, 2, -2, 3, -7, Fraction(1, 2), Fraction(-1, 2),
+              Fraction(3, 4), Fraction(-5, 3), Fraction(2, 1)]
+
+    def test_matches_reference_on_seeded_forms(self):
+        rng = random.Random(20)
+        for _ in range(5000):
+            coords = tuple(rng.choice(self.COEFFS) for _ in range(rng.randint(1, 6)))
+            assert format_weight(coords) == _reference_format_weight(coords), coords
+            assert str(Weight(coords)) == _reference_format_weight(coords), coords
+
+    @pytest.mark.parametrize("coords", [(), (0, 0), (1,), (-1, 0, 1), (0, Fraction(-1, 2))])
+    def test_matches_reference_at_the_edges(self, coords):
+        assert format_weight(coords) == _reference_format_weight(coords)
+
+    def test_not_divisible_message(self):
+        with pytest.raises(NotDivisible) as exc:
+            lin(2, 1, 0).div_weight(W(-1, Fraction(1, 2)))
+        assert str(exc.value) == "not divisible by linear form -x1 + 1/2*x2"
 
 
 class TestLinFrac:

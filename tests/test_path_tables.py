@@ -1,8 +1,9 @@
 """Tests of the filtered path-sum tables: the registry's ordered and tower
 tables against the single-pair entry points, the column DP against the
-walker on every pair and its hand-off to the walker, reachability pruning
-in the walker, error parity of the filters, and that each filter and each
-edge factor is built once per table."""
+walker on every pair and its hand-off to the walker, the rank-four tables
+that never reach the walker, reachability pruning in the walker, error
+parity of the filters, and that each filter and each edge factor is built
+once per table."""
 
 from pathlib import Path
 
@@ -181,9 +182,9 @@ def same_outcome(got, want):
 class TestColumnMatchesWalker:
     """filtered_path_column against filtered_path_sum on every pair.  On
     the orbits and on the general-coordinate CP2 every sum stays a
-    polynomial, so the column never hands a source to the walker; a
-    hand-built filter whose sums are not polynomials is handed to it and
-    gives its values, or raises its first error."""
+    polynomial, so the column never reaches the walker; a hand-built
+    filter with a sum that is not a polynomial hands the whole column to
+    it, which gives its values, or raises its first error."""
 
     @staticmethod
     def filters(orbit):
@@ -217,6 +218,22 @@ class TestColumnMatchesWalker:
         assert any(sum(c != 0 for c in w.coords) >= 3 for w in g.weights.values())
         self.check_without_walker(od, ordered_filter(od, [dict(g.moment)]), monkeypatch)
 
+    @pytest.mark.parametrize("name,engines", [
+        ("A4", ("ordered", "tower", "typed")),
+        # typed D reaches the column through its A3 children
+        ("D4", ("tower", "typed")),
+    ])
+    def test_rank_four_tables_never_walk(self, name, engines, monkeypatch):
+        orbit = Orbit(OrbitSpec(name[0], int(name[1])))
+
+        def refuse(*args):
+            raise AssertionError("the column handed a target to the walker")
+
+        monkeypatch.setattr(canonical, "filtered_path_sum", refuse)
+        gz = engine_entries(orbit, "gz", jobs=1)
+        for engine in engines:
+            assert engine_entries(orbit, engine, jobs=1) == gz, engine
+
     @staticmethod
     def handed_off(od, filt, monkeypatch):
         """Per target, the sources the column hands to the walker, and
@@ -236,29 +253,32 @@ class TestColumnMatchesWalker:
             out[q] = (calls, isinstance(got, GkmError))
         return out
 
-    @pytest.mark.parametrize("coords,at_111", [
+    @pytest.mark.parametrize("coords,at_111,walked", [
         # the class moves by e1 + e2 along every flip of the middle bit,
         # against the edge weight e2, so those factors keep x2 in their
-        # denominators: every source with the middle bit clear crosses
-        # one to 111 and is handed off.  The walker's sums are polynomials
-        (lambda b: [b[0] + b[1], b[1], b[2]], (["000", "001", "100", "101"], False)),
-        # only the flips out of 001, 011, 100 and 110 keep a form, so 000
-        # is handed off because the sums it reads are; the walker raises
-        # at 000, and so does the column
-        (lambda b: [b[0], b[1] + b[0] * b[2], b[2]], (["000"], True)),
+        # denominators: every target a middle-bit flip reaches is walked
+        # from every source.  The walker's sums are polynomials
+        (lambda b: [b[0] + b[1], b[1], b[2]],
+         (["000", "001", "010", "011", "100", "101", "110", "111"], False),
+         {"010", "011", "110", "111"}),
+        # only the flips out of 001, 011, 100 and 110 keep a form; the
+        # walker raises at 000, its first source, and so does the column
+        (lambda b: [b[0], b[1] + b[0] * b[2], b[2]], (["000"], True), {"101", "111"}),
     ], ids=["direct", "read"])
-    def test_factor_with_a_denominator_form(self, monkeypatch, coords, at_111):
+    def test_factor_with_a_denominator_form(self, monkeypatch, coords, at_111, walked):
         od = cube_od()
         cls = {v: Weight(coords([int(c) for c in v])) for v in od.graph.ids}
         filt = ordered_filter(od, [cls])
         assert any(filt.factor(a, b).den for a in od.graph.ids for b in od.up[a])
-        assert self.handed_off(od, filt, monkeypatch)["111"] == at_111
+        outcome = self.handed_off(od, filt, monkeypatch)
+        assert outcome["111"] == at_111
+        assert {q for q, (calls, _) in outcome.items() if calls} == walked
 
     def test_level_sum_that_does_not_divide(self, monkeypatch):
         # every factor is a scalar, but level one's class moves by
         # x2 - x3 along the edges of level two, so the level-one sum at
         # 001 towards 111 is not divisible by its denominator; the walker
-        # raises, and the column raises its first error
+        # gives 000 and raises at 001, and so does the column
         od = cube_od()
         h = {(a, b): 1 if a[0] != b[0] else 2 for a in od.graph.ids for b in od.up[a]}
         levels = (
@@ -268,7 +288,7 @@ class TestColumnMatchesWalker:
         filt = PathFilter(od, h, lambda j, v: levels[j - 1][v])
         assert not any(filt.factor(a, b).den for a, b in h)
         outcome = self.handed_off(od, filt, monkeypatch)
-        assert outcome["111"] == (["001"], True)
+        assert outcome["111"] == (["000", "001"], True)
         assert {q for q, (calls, _) in outcome.items() if calls} == {"101", "110", "111"}
 
 
