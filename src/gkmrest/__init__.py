@@ -11,10 +11,8 @@ from .exact import (
     rho_project,
 )
 from .gkm import (
-    CanonicalGraph,
     GkmGraph,
     OrientedGraphData,
-    build_canonical_graph,
     choose_generic_xi,
     enumerate_paths,
     magnitude,
@@ -43,10 +41,7 @@ from .orbits import (
     RootSystem,
     SignedPerm,
     build_orbit_gkm,
-    canonical_graph_orbit,
-    lift_path,
     pairing_check,
-    reduced_words,
     typed_table,
     weyl_length,
 )

@@ -62,7 +62,7 @@ def _load_target(args):
         rep = validate_gkm(g)
         if not rep.ok:
             raise GkmError(f"invalid graph:\n{rep}")
-        return OrientedGraphData(g, choose_generic_xi(g, seed=args.seed))
+        return OrientedGraphData(g, choose_generic_xi(g))
     return _orbit(args)
 
 
@@ -104,7 +104,7 @@ def cmd_validate(args) -> int:
     print(rep)
     if not rep.ok:
         return 1
-    xi = choose_generic_xi(g, seed=args.seed)
+    xi = choose_generic_xi(g)
     OrientedGraphData(g, xi)  # raises if the certificate fails
     print(f"generic direction: {xi}")
     return 0
@@ -146,10 +146,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    g = build_orbit_gkm(_orbit(args), args.level)
+    orbit = _orbit(args)
+    g = build_orbit_gkm(orbit, args.level)
     if args.format == "dot":
-        od = OrientedGraphData(g, choose_generic_xi(g, seed=args.seed))
-        print(export_dot(od))
+        # oriented by the orbit's xi, as the engines and export --dot are
+        print(export_dot(OrientedGraphData(g, orbit.xi)))
     else:
         print(json.dumps(g.to_json(), sort_keys=True))
     return 0

@@ -575,39 +575,6 @@ class Poly:
         return f"Poly({self})"
 
 
-def parse_poly(text: str, n: int) -> Poly:
-    """Parse the human-readable polynomial format produced by str(Poly).
-
-    Accepts terms like '3*x1^2*x2', 'x3', '-5', '1/2*x1'.
-    """
-    s = text.replace("-", "+-").replace(" ", "")
-    out = Poly.zero(n)
-    for chunk in s.split("+"):
-        if not chunk:
-            continue
-        coeff: int | Fraction = 1
-        e = [0] * n
-        if chunk.startswith("-"):
-            coeff = -1
-            chunk = chunk[1:]
-        for factor in chunk.split("*"):
-            if not factor:
-                raise ValueError(f"cannot parse term in {text!r}")
-            if factor[0] == "x":
-                if "^" in factor:
-                    var, _, p = factor.partition("^")
-                else:
-                    var, p = factor, "1"
-                i = int(var[1:]) - 1
-                if not (0 <= i < n):
-                    raise ValueError(f"variable {var} out of range")
-                e[i] += int(p)
-            else:
-                coeff = coeff * _as_exact(factor)
-        out = out + Poly(n, {tuple(e): coeff})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Fractions of products of linear forms
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Moment-graph data model: labelled graphs over fixed points, validation,
-generic direction vectors, Morse data, edge scalars, and the canonical
-graph built from them.
+generic direction vectors, Morse data with the canonical (index-one)
+edges, edge scalars, and the one depth-first path walker.
 
 A graph is stored with both directions of every edge present and mirrored
 weights.  A chosen direction vector xi orients it: the value
@@ -207,15 +207,14 @@ def magnitude(g: GkmGraph, src: str, dst: str) -> int | Fraction:
     return m
 
 
-def choose_generic_xi(g: GkmGraph, seed: int = 0) -> Weight:
+def choose_generic_xi(g: GkmGraph) -> Weight:
     """A direction pairing nonzero with every edge weight: (1, B, B^2, ...)
     with B one more than the largest l1 norm of a primitive edge weight.
 
     For a primitive weight p with highest nonzero coordinate k,
     |p_k B^k| >= B^k, while the lower terms of <p, xi> sum to at most
     (sum_{i<k} |p_i|) B^(k-1) < B^k, the l1 norm of p being below B: the
-    pairing is never zero.  The seed is accepted for compatibility; the
-    direction does not depend on it."""
+    pairing is never zero."""
     prims = {w.primitive()[0] for w in g.weights.values() if not w.is_zero()}
     base = 1 + max((sum(map(abs, p)) for p in prims), default=1)
     return Weight([base ** i for i in range(g.rank)])
@@ -421,62 +420,15 @@ def walk_paths(start, state, step):
     """Depth-first walk over the paths from start, yielding (path, state)
     for each path reached, a path before its extensions.  step(path, state)
     lists the extensions of a path as (vertex, next_state); the last one
-    listed is walked first.  The canonical-graph, ascending and horizontal
-    path listings, the path sums and the slot-monotone cover chains are
-    each one step function over this walk."""
+    listed is walked first.  The ascending and horizontal path listings,
+    the path sums and the slot-monotone cover chains are each one step
+    function over this walk."""
     stack = [((start,), state)]
     while stack:
         path, state = stack.pop()
         yield path, state
         for u, nxt in step(path, state):
             stack.append((path + (u,), nxt))
-
-
-@dataclass
-class CanonicalGraph:
-    """Directed graph on the fixed points whose edges raise the index by
-    exactly one, labelled by (adjacent restriction)/(downward product)."""
-
-    rank: int
-    ids: tuple[str, ...]
-    lam: dict[str, int]
-    phi: dict[str, int | Fraction]
-    labels: dict[tuple[str, str], LinFrac]
-    up: dict[str, tuple[str, ...]]
-
-    def paths(self, p: str, q: str) -> list[tuple[str, ...]]:
-        """All directed paths from p to q, in deterministic order.  The
-        length-zero path appears exactly when p == q."""
-        phi, up, top = self.phi, self.up, self.phi[q]
-
-        def step(path, _):
-            v = path[-1]
-            if v == q or phi[v] >= top:
-                return ()
-            return [(u, None) for u in reversed(up[v])]
-
-        return [path for path, _ in walk_paths(p, None, step) if path[-1] == q]
-
-
-def build_canonical_graph(od: OrientedGraphData) -> CanonicalGraph:
-    """Assemble the canonical graph of an index-increasing oriented graph,
-    labelling each edge with theta(edge)/weight(edge)."""
-    labels: dict[tuple[str, str], LinFrac] = {}
-    for p in od.graph.ids:
-        for q in od.up[p]:
-            if od.phi[p] >= od.phi[q]:
-                raise GraphFormatError(f"canonical edge ({p},{q}) does not ascend")
-            eta = od.graph.edge_weight(p, q)
-            th = od.theta(p, q)
-            labels[(p, q)] = LinFrac(od.rank, th).div_weight(eta)
-    return CanonicalGraph(
-        rank=od.rank,
-        ids=od.graph.ids,
-        lam=dict(od.lam),
-        phi=dict(od.phi),
-        labels=labels,
-        up=dict(od.up),
-    )
 
 
 def enumerate_paths(od: OrientedGraphData, p: str, q: str) -> list[tuple[str, ...]]:

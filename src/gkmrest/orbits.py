@@ -34,7 +34,7 @@ from .fibration import (
     defining_base_term,
     horizontal_paths,
 )
-from .gkm import CanonicalGraph, GkmGraph, OrientedGraphData, walk_paths
+from .gkm import GkmGraph, OrientedGraphData, walk_paths
 
 CARTAN_TYPES = ("A", "B", "C", "D")
 
@@ -161,7 +161,6 @@ class RootSystem:
         self.simple_roots: tuple[Weight, ...] = tuple(simples)
         self.simple_perms: tuple[SignedPerm, ...] = tuple(
             self.reflection_perm(a) for a in self.simple_roots)
-        self._pos_set = {w.coords for w in pos}
         self._prim_to_root: dict[tuple, tuple[Weight, Fraction]] = {}
         for root in pos:
             prim, scale = root.primitive()
@@ -190,9 +189,6 @@ class RootSystem:
         """The reflections across the positive roots, in their order."""
         return tuple(self.reflection_perm(root) for root in self.positive_roots)
 
-    def is_positive(self, w: Weight) -> bool:
-        return w.coords in self._pos_set
-
     def is_right_ascent(self, u: SignedPerm, i: int) -> bool:
         """Whether l(u s_i) = l(u) + 1, that is, whether u sends the simple
         root alpha_i to a positive root (else l(u s_i) = l(u) - 1)."""
@@ -204,9 +200,6 @@ class RootSystem:
         sign(u_j) * v_|u_j|."""
         a = self.simple_roots[i].coords
         return _leads_negative(a[x - 1] if x > 0 else -a[-x - 1] for x in u.word)
-
-    def is_root(self, w: Weight) -> bool:
-        return w.coords in self._pos_set or (-w).coords in self._pos_set
 
     def validate_element(self, w: SignedPerm):
         if w.n != self.ambient:
@@ -254,31 +247,6 @@ def weyl_length(rs: RootSystem, w: SignedPerm) -> int:
     """Number of positive roots sent to negative roots."""
     rs.validate_element(w)
     return sum(1 for b in rs.positive_roots if _leads_negative(w.act(b).coords))
-
-
-def reduced_words(rs: RootSystem, w: SignedPerm) -> list[tuple[int, ...]]:
-    """All reduced words for w, as tuples of 0-based simple indices, in
-    lexicographic order.  Exponential in the length; intended for small
-    rank."""
-    rs.validate_element(w)
-    memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-
-    def go(u: SignedPerm, lu: int) -> list[tuple[int, ...]]:
-        if lu == 0:
-            return [()]
-        got = memo.get(u.word)
-        if got is not None:
-            return got
-        words = []
-        for i, s in enumerate(rs.simple_perms):
-            v = u * s
-            if weyl_length(rs, v) == lu - 1:
-                words.extend(word + (i,) for word in go(v, lu - 1))
-        words.sort()
-        memo[u.word] = words
-        return words
-
-    return go(w, weyl_length(rs, w))
 
 
 def lexmin_reduced_word(rs: RootSystem, w: SignedPerm) -> tuple[int, ...]:
@@ -594,24 +562,6 @@ class Orbit:
         self._covers[w.word] = got
         return got
 
-    def bruhat_leq(self, a: SignedPerm, b: SignedPerm) -> bool:
-        """Reachability through upward covers: a depth-first search that
-        visits each element at most once and stops at the length of b."""
-        lb = self.length[b.word]
-        seen = {a.word}
-        stack = [a]
-        while stack:
-            w = stack.pop()
-            if w.word == b.word:
-                return True
-            if self.length[w.word] >= lb:
-                continue
-            for u, _, _ in self.covers_up(w):
-                if u.word not in seen:
-                    seen.add(u.word)
-                    stack.append(u)
-        return False
-
     # -- tower and base -----------------------------------------------------
 
     def tower(self) -> TowerSpec:
@@ -742,32 +692,19 @@ class Orbit:
                 for w, pt in sorted(self._points(self.mu).items(), key=itemgetter(1))}
 
 
-def canonical_graph_orbit(orbit: Orbit, verify_theta: bool = True) -> CanonicalGraph:
-    """Canonical graph of a generic orbit, built from length covers with
-    edge labels 1/(w(beta)); optionally verify that every edge scalar of
-    the oriented graph equals one."""
+def check_orbit_edges(orbit: Orbit) -> int:
+    """Acceptance criterion 4 on a generic orbit: the group's length covers
+    are exactly the index-one edges of the oriented graph, and the edge
+    scalar of each is one.  Returns the number of edges."""
     od = orbit.od
-    labels: dict[tuple[str, str], LinFrac] = {}
-    up: dict[str, tuple[str, ...]] = {}
-    for w in orbit.elements:
-        src = orbit.vid_of[w.word]
-        outs = []
-        for u, beta, _ in orbit.covers_up(w):
-            dst = orbit.vid_of[u.word]
-            eta = w.act(beta)
-            labels[(src, dst)] = LinFrac.one(orbit.rs.ambient).div_weight(eta)
-            outs.append(dst)
-        up[src] = tuple(sorted(outs))
-    cg = CanonicalGraph(rank=orbit.rs.ambient, ids=od.graph.ids,
-                        lam=dict(od.lam), phi=dict(od.phi),
-                        labels=labels, up=up)
-    if set(labels) != {(a, b) for a in od.graph.ids for b in od.up[a]}:
+    covers = [(orbit.vid_of[w.word], orbit.vid_of[u.word])
+              for w in orbit.elements for u, _, _ in orbit.covers_up(w)]
+    if set(covers) != {(a, b) for a in od.graph.ids for b in od.up[a]}:
         raise GraphFormatError("length covers disagree with index-one edges")
-    if verify_theta:
-        for (a, b) in labels:
-            if od.theta(a, b) != 1:
-                raise ThetaNotOne(f"edge ({a},{b}) has scalar {od.theta(a, b)}")
-    return cg
+    for a, b in covers:
+        if od.theta(a, b) != 1:
+            raise ThetaNotOne(f"edge ({a},{b}) has scalar {od.theta(a, b)}")
+    return len(covers)
 
 
 # ---------------------------------------------------------------------------
@@ -825,46 +762,8 @@ def formula_AC(orbit: Orbit, p, q) -> tuple[Poly, list[PathTerm]]:
 
 
 # ---------------------------------------------------------------------------
-# Lifting base paths and classifying them (types B and D)
+# Classifying base paths (types B and D)
 # ---------------------------------------------------------------------------
-
-def lift_path(orbit: Orbit, start, base_path: Sequence[str]) -> tuple[str, ...]:
-    """The unique lift of an ascending base path: apply, step by step, the
-    reflection across the root joining consecutive base points."""
-    base = orbit.base_od()
-    v = orbit.od.graph.moment[orbit.vertex(start)]
-    out = [orbit.vertex(start)]
-    for a, b in zip(base_path, base_path[1:]):
-        diff = base.graph.moment[b] - base.graph.moment[a]
-        prim, scale = diff.primitive()
-        root = Weight(prim)
-        if not orbit.rs.is_root(root):
-            root = 2 * root
-            if not orbit.rs.is_root(root):
-                raise GraphFormatError(f"base step ({a},{b}) is not a reflection step")
-        rr = Fraction(2) * pair(v, root) / pair(root, root)
-        v = v - rr * root
-        out.append(_format_point(v.coords))
-    if out[-1] not in orbit.word_of_vid:
-        raise GraphFormatError("lift left the orbit; corrupt base path")
-    return tuple(out)
-
-
-def reflection_word_endpoint(orbit: Orbit, start, base_path: Sequence[str]) -> str:
-    """Endpoint computed by composing the step reflections into one group
-    element first (latest step outermost), then acting on the start."""
-    base = orbit.base_od()
-    w = SignedPerm.identity(orbit.rs.ambient)
-    for a, b in zip(base_path, base_path[1:]):
-        diff = base.graph.moment[b] - base.graph.moment[a]
-        prim, _ = diff.primitive()
-        root = Weight(prim)
-        if not orbit.rs.is_root(root):
-            root = 2 * root
-        w = orbit.rs.reflection_perm(root) * w
-    pt = w.act(orbit.od.graph.moment[orbit.vertex(start)])
-    return _format_point(pt.coords)
-
 
 @dataclass
 class PathClassification:

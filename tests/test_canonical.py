@@ -17,10 +17,11 @@ from gkmrest.canonical import (
     RestrictionTable,
 )
 from gkmrest.errors import GraphFormatError, NoSolution
-from gkmrest.exact import Poly, Weight, parse_poly
+from gkmrest.exact import Poly, Weight
 from gkmrest.gkm import GkmGraph, OrientedGraphData
 
 from conftest import projective_space_graph, restriction_table
+from reference import parse_poly
 
 
 def moment_classes(od):

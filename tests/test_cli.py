@@ -6,11 +6,13 @@ import json
 import pytest
 
 from gkmrest.cli import main
-from gkmrest.exact import Poly, parse_poly
-from gkmrest.gkm import GkmGraph, validate_gkm
+from gkmrest.exact import Poly
+from gkmrest.gkm import GkmGraph, export_dot, validate_gkm
 from gkmrest.oracle import ENGINES, engine_entries
+from gkmrest.orbits import Orbit, OrbitSpec
 
 from conftest import product_of_projective_spaces, projective_space_graph, restriction_table
+from reference import parse_poly
 
 
 @pytest.fixture
@@ -216,7 +218,6 @@ class TestRestrict:
         """restrict --engine brute solves only the row of p, up to q, and
         gives the entry of the full brute table."""
         import gkmrest.oracle as oracle
-        from gkmrest.orbits import Orbit, OrbitSpec
         calls = []
         original = oracle.brute_row
 
@@ -319,7 +320,6 @@ class TestTable:
 
     def test_streamed_output_never_builds_to_json(self, capsys, tmp_path, monkeypatch):
         from gkmrest.canonical import RestrictionTable
-        from gkmrest.orbits import Orbit, OrbitSpec
         orbit = Orbit(OrbitSpec("B", 2))
         table = RestrictionTable(orbit.od, engine_entries(orbit, "gz"))
         want = json.dumps(table.to_json(), sort_keys=True)
@@ -402,6 +402,19 @@ class TestOrbitCommand:
                         "--format", "dot")
         assert code == 0
         assert out.startswith("digraph")
+
+    @pytest.mark.parametrize("ctype", ["A", "B"])
+    def test_dot_oriented_by_the_orbit_xi(self, capsys, ctype):
+        """The orbit's DOT carries the indices the engines see: that of
+        export --dot, oriented by the orbit's xi."""
+        _, dot = run(capsys, "orbit", "--type", ctype, "--rank", "2", "--format", "dot")
+        _, exported = run(capsys, "export", "--type", ctype, "--rank", "2", "--dot")
+        assert dot == exported
+
+    def test_dot_level_one_is_the_base(self, capsys):
+        _, dot = run(capsys, "orbit", "--type", "B", "--rank", "2", "--level", "1",
+                     "--format", "dot")
+        assert dot == export_dot(Orbit(OrbitSpec("B", 2)).base_od()) + "\n"
 
 
 class TestCompare:

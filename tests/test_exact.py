@@ -15,9 +15,10 @@ from gkmrest.exact import (
     format_weight,
     linfrac_sum_to_poly,
     pair,
-    parse_poly,
     rho_project,
 )
+
+from reference import parse_poly
 
 
 def W(*coords):

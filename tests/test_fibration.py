@@ -10,7 +10,7 @@ from gkmrest.errors import (
     GraphFormatError,
     WeightNotPreserved,
 )
-from gkmrest.exact import LinFrac, Poly, Weight, parse_poly
+from gkmrest.exact import LinFrac, Poly, Weight
 from gkmrest.fibration import (
     FibrationSpec,
     TowerLevel,
@@ -28,6 +28,7 @@ from gkmrest.fibration import (
 from gkmrest.orbits import Orbit, OrbitSpec, classify_base_path
 
 from conftest import restriction_table
+from reference import parse_poly
 
 
 @pytest.fixture(scope="module")

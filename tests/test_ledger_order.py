@@ -8,7 +8,7 @@ import pytest
 from gkmrest.canonical import restriction_vertex_classes
 from gkmrest.cli import main
 from gkmrest.fibration import horizontal_paths
-from gkmrest.gkm import build_canonical_graph, enumerate_paths
+from gkmrest.gkm import enumerate_paths
 from gkmrest.orbits import Orbit, OrbitSpec
 
 
@@ -67,13 +67,7 @@ def test_b2_horizontal_paths(b2):
     }
 
 
-def test_b2_canonical_and_ascending_paths(b2):
-    assert build_canonical_graph(b2.od).paths("-2,-1", "1,2") == [
-        ("-2,-1", "-1,-2", "-1,2", "1,2"),
-        ("-2,-1", "-1,-2", "1,-2", "1,2"),
-        ("-2,-1", "-2,1", "-1,2", "1,2"),
-        ("-2,-1", "-2,1", "1,-2", "1,2"),
-    ]
+def test_b2_ascending_paths(b2):
     assert enumerate_paths(b2.base_od(), "-1,0", "1,0") == [
         ("-1,0", "0,-1", "0,1", "1,0"),
         ("-1,0", "0,-1", "1,0"),

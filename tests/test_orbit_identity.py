@@ -45,7 +45,7 @@ ELEMENT_ORDER_SHA256 = {
 }
 
 # (canonical edges, sha256 of the lines "p|q|theta" over od.graph.ids and
-# od.up order); the product graphs are oriented by choose_generic_xi(g, 0)
+# od.up order); the product graphs are oriented by choose_generic_xi(g)
 THETA_SHA256 = {
     "A4": (444, "ca367f982fd8d40d36f9b4ec27bd72d6ba89e2b405cbe63278379c57ca20f7b0"),
     "B3": (138, "87f1fd1bda6a4b730da4c4a8655765f89f5f11c185262413e59e7e397c2bffb7"),
@@ -80,7 +80,7 @@ def test_element_order_and_lengths(ctype, rank):
 def oriented(name: str) -> OrientedGraphData:
     if name.startswith("CP"):
         g = product_of_projective_spaces(*{"CP1^4": (1, 1, 1, 1), "CP2xCP3": (2, 3)}[name])
-        return OrientedGraphData(g, choose_generic_xi(g, seed=0))
+        return OrientedGraphData(g, choose_generic_xi(g))
     return Orbit(OrbitSpec(name[0], int(name[1:]))).od
 
 

@@ -216,7 +216,7 @@ def test_phi_stays_fraction_where_not_integral():
 
 def test_phi_on_a_graph_with_fractional_moments():
     g = product_of_projective_spaces(2, 1)
-    od = OrientedGraphData(g, choose_generic_xi(g, seed=0))
+    od = OrientedGraphData(g, choose_generic_xi(g))
     order, phi = fraction_order(od)
     assert od.phi == phi and od.order == order
     assert any(type(x) is Fraction for x in od.phi.values())
