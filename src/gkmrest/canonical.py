@@ -426,8 +426,7 @@ def filtered_path_column(od: OrientedGraphData, filt: PathFilter, q: str) -> dic
                     f = filt.factor(v, u)
                     if f.den:
                         raise _NotPolynomial
-                    for form in f.num:
-                        s = s.mul_weight(Weight(form))
+                    # with no denominator left, its one form cancelled eta: f.num is empty
                     c = _div_scalar(f.scalar, group[1])
                     total = group[2]
                     for e, a in s.terms.items():
@@ -596,24 +595,17 @@ class Certificate:
         return "\n".join(lines)
 
 
-def certify_table(
-    od: OrientedGraphData,
-    table: RestrictionTable,
-    integral_classes: Sequence[Mapping[str, Weight]] | None = None,
-) -> Certificate:
+def certify_table(od: OrientedGraphData, table: RestrictionTable) -> Certificate:
     """Check diagonal values, vanishing, homogeneity, edge divisibility,
     and the integrality of (w(r) - w(p)) * alpha_p(r) / lambda_minus(r)
-    along canonical edges for each declared integral class w.
-
-    When no classes are passed and the moment values are integral, the
-    moment map itself is used."""
+    along canonical edges for the moment map w, when its values are
+    integral."""
     g = od.graph
     cert = Certificate()
-    if integral_classes is None:
-        moments = {v: g.moment[v] for v in g.ids}
-        integral = all(Fraction(c).denominator == 1
-                       for w in moments.values() for c in w.coords)
-        integral_classes = [moments] if integral else []
+    moments = {v: g.moment[v] for v in g.ids}
+    integral = all(Fraction(c).denominator == 1
+                   for w in moments.values() for c in w.coords)
+    integral_classes = [moments] if integral else []
     for p in g.ids:
         lam_p = od.lam[p]
         for q in g.ids:

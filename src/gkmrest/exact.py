@@ -711,9 +711,9 @@ def frac_sum(terms: Sequence[tuple[Poly, tuple]], n: int) -> tuple[Poly, tuple]:
     return total.with_int_coefficients(), tuple(sorted(left))
 
 
-def linfrac_sum_to_poly(terms: Iterable, n: int | None = None) -> Poly:
+def linfrac_sum_to_poly(terms: Iterable, n: int) -> Poly:
     """Sum a collection of LinFrac values (optionally paired with polynomial
-    multipliers) into an exact polynomial, by frac_sum.
+    multipliers) into an exact polynomial in n variables, by frac_sum.
 
     Each element is either a LinFrac or a tuple (LinFrac, Poly).  Raises
     NotDivisible if the sum is not a polynomial.
@@ -721,14 +721,11 @@ def linfrac_sum_to_poly(terms: Iterable, n: int | None = None) -> Poly:
     fracs = []
     for t in terms:
         f, mult = (t, None) if isinstance(t, LinFrac) else t
-        n = f.n if n is None else n
         if f.scalar != 0:
             p = Poly.const(n, f.scalar)
             for form in f.num:
                 p = p.mul_weight(Weight(form))
             fracs.append((p if mult is None else p * mult, f.den))
-    if n is None:
-        raise ValueError("cannot infer variable count from an empty sum")
     total, left = frac_sum(fracs, n)
     if left:
         # name the form the division first fails at, the first of the lcd

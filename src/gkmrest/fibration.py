@@ -9,7 +9,6 @@ into base-path contributions times restrictions computed on the fiber.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -79,32 +78,6 @@ class TowerSpec:
                             f"level {idx + 1} fibers do not refine level {idx + 2}")
                 else:
                     image[b] = coarse[v]
-
-    @classmethod
-    def from_json(cls, data) -> "TowerSpec":
-        if isinstance(data, str):
-            try:
-                data = json.loads(data)
-            except json.JSONDecodeError as exc:
-                raise GraphFormatError(f"invalid JSON: {exc}") from exc
-        try:
-            levels = [
-                TowerLevel(
-                    projection={str(k): str(v) for k, v in lvl["projection"].items()},
-                    moment={str(k): Weight(v) for k, v in lvl["moment"].items()},
-                )
-                for lvl in data["levels"]
-            ]
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise GraphFormatError(f"malformed tower JSON: {exc}") from exc
-        return cls(levels)
-
-    def to_json(self) -> dict:
-        return {"levels": [
-            {"projection": dict(lvl.projection),
-             "moment": {v: w.to_json() for v, w in lvl.moment.items()}}
-            for lvl in self.levels
-        ]}
 
 
 def tower_h_function(od: OrientedGraphData, tower: TowerSpec) -> dict[tuple[str, str], int]:

@@ -37,11 +37,10 @@ from .orbits import (
     Orbit,
     RootSystem,
     SignedPerm,
-    formula_AC,
     inversion_prefix_roots,
     lexmin_reduced_word,
     typed_column,
-    typed_entry,
+    typed_restriction,
     weyl_length,
 )
 
@@ -159,19 +158,6 @@ def _gz_entry(target, p: str, q: str):
     return single_form_column(od, q, up_closure(od, p))[p], None
 
 
-def _typed_entry(orbit: Orbit, p: str, q: str):
-    """A and C by their closed formula, B and D from rank two and four by
-    typed_entry alone; the rest (B1, D3 through A3) take their one entry
-    of the column (Orbit.column_at)."""
-    ctype, rank = orbit.spec.ctype, orbit.spec.rank
-    if ctype in ("A", "C"):
-        return formula_AC(orbit, p, q)
-    if rank >= (2 if ctype == "B" else 4):
-        return typed_entry(orbit, p, q), None
-    p_vid = orbit.vertex(p)
-    return orbit.column_at(orbit.vertex(q), [p_vid])[p_vid], None
-
-
 def _billey_entry(orbit: Orbit, p: str, q: str):
     return billey_restriction(orbit.rs, SignedPerm(orbit.word_of_vid[p]),
                               SignedPerm(orbit.word_of_vid[q])), None
@@ -203,7 +189,7 @@ ENGINES: dict[str, Engine] = {
         by_column=True, slicer=lambda orbit, od: partial(
             filtered_path_column, od, tower_filter(od, orbit.tower()))),
     "typed": Engine(
-        True, _typed_entry,
+        True, lambda orbit, p, q: typed_restriction(orbit, p, q),
         by_column=True, slicer=lambda orbit, od: partial(typed_column, orbit)),
     # an entry stops its row at q
     "brute": Engine(

@@ -478,6 +478,7 @@ class Orbit:
         self._covers: dict[tuple, tuple] = {}
         self._base_od: OrientedGraphData | None = None
         self._base_fib: FibrationSpec | None = None
+        # the whole typed columns computed so far (typed_column), by vertex
         self._columns: dict[str, dict[str, Poly]] = {}
         # orbits the typed engine solves on (fibers, the type A image of
         # rank-three type D), one per distinct spec (type, rank, mu)
@@ -528,19 +529,13 @@ class Orbit:
     # -- group-side lookups -------------------------------------------------
 
     def element(self, w) -> SignedPerm:
-        if isinstance(w, SignedPerm):
-            return w
-        if isinstance(w, str) and w in self.word_of_vid:
-            return SignedPerm(self.word_of_vid[w])
-        if isinstance(w, str):
-            return SignedPerm.from_string(w)
-        return SignedPerm(w)
+        """w itself when a SignedPerm, else the element of the vertex id w."""
+        return w if isinstance(w, SignedPerm) else SignedPerm(self.word_of_vid[self.vertex(w)])
 
     def vertex(self, w) -> str:
-        if isinstance(w, str) and w in self.word_of_vid:
-            return w
-        vid = self.vid_of.get(self.element(w).word)
-        if vid is None:
+        """w itself when a vertex id, else the vertex of the SignedPerm w."""
+        vid = self.vid_of.get(w.word) if isinstance(w, SignedPerm) else w
+        if vid not in self.word_of_vid:
             raise GraphFormatError(f"{w!r} is not an element of this group")
         return vid
 
@@ -620,38 +615,6 @@ class Orbit:
         return got
 
     # -- typed engine memos ---------------------------------------------------
-
-    def column(self, q_vid: str) -> dict[str, Poly]:
-        """The typed column at the vertex q_vid (see typed_column), computed
-        on first request and kept on this orbit; on types A and C, the
-        values of formula_AC from filtered_path_column, walking no chain."""
-        got = self._columns.get(q_vid)
-        if got is not None:
-            return got
-        ctype, rank = self.spec.ctype, self.spec.rank
-        if ctype in ("A", "C"):
-            got = filtered_path_column(self.od, self.coordinate_filter, q_vid)
-        elif ctype == "D" and rank == 3:
-            got = _d3_column_via_a3(self, q_vid)
-        elif ctype == "D" and rank < 3:
-            raise GraphFormatError("type D typed engine needs rank at least 3")
-        elif rank == 1:  # type B, two fixed points
-            got = _rank1_b_column(self, q_vid)
-        else:
-            # typed_entry from every source, over one fiber column
-            fiber_col = _fiber_column(self, q_vid)
-            got = {p: typed_entry(self, p, q_vid, fiber_col) for p in self.word_of_vid}
-        self._columns[q_vid] = got
-        return got
-
-    def column_at(self, q_vid: str, sources: Iterable[str]) -> dict[str, Poly]:
-        """The typed values at q_vid from the given sources alone.  A kept
-        column is read; rank-three type D translates only these entries
-        from type A, and the other types read the column."""
-        if q_vid not in self._columns and (self.spec.ctype, self.spec.rank) == ("D", 3):
-            return _d3_column_via_a3(self, q_vid, sources)
-        col = self.column(q_vid)
-        return {p: col[p] for p in sources}
 
     def paired_sums(self, p_vid: str, b: str) -> dict[str, Poly]:
         """For each fiber endpoint s over the base vertex b, the sum of
@@ -741,7 +704,7 @@ def formula_AC(orbit: Orbit, p, q) -> tuple[Poly, list[PathTerm]]:
     cover chains of the downward product at q divided by, for each step,
     the difference of the signed coordinates that the step's slot carries
     at the step's start and at q.  The per-entry reference, with a ledger,
-    of the typed columns, which take the same sum from Orbit.column."""
+    of the typed columns, which take the same sum from typed_column."""
     if orbit.spec.ctype not in ("A", "C"):
         raise GraphFormatError("closed formula applies to types A and C only")
     m = orbit.rs.ambient
@@ -884,12 +847,47 @@ def _embed_poly(poly: Poly, free: Sequence[int], m: int) -> Poly:
     return Poly(m, terms, _clean=True)
 
 
-def typed_column(orbit: Orbit, q) -> dict[str, Poly]:
-    """Values alpha_._(q) for all sources, computed by this orbit's
-    type-specific engine: the closed formula for types A and C (by the
-    column dynamic program the ordered and tower tables share), rank-three
-    type D through type A, and the fiber recursion for types B and D."""
-    return orbit.column(orbit.vertex(q))
+def typed_column(orbit: Orbit, q, sources: Iterable[str] | None = None) -> dict[str, Poly]:
+    """Values alpha_p(q) for the sources p (all vertices when None), by
+    this orbit's type-specific engine: the closed formula for types A and
+    C (by the column dynamic program the ordered and tower tables share),
+    rank-three type D through type A, and the fiber recursion for types B
+    and D.  A kept column is read.  Otherwise, given sources, rank-three
+    type D translates only their entries from type A, and types B (rank
+    two and up) and D (rank four and up) compute each by typed_entry
+    alone; every other column is computed whole and kept on the orbit."""
+    q_vid = orbit.vertex(q)
+    got = orbit._columns.get(q_vid)
+    if got is None:
+        ctype, rank = orbit.spec.ctype, orbit.spec.rank
+        if ctype in ("A", "C"):
+            got = filtered_path_column(orbit.od, orbit.coordinate_filter, q_vid)
+        elif ctype == "D" and rank < 3:
+            raise GraphFormatError("type D typed engine needs rank at least 3")
+        elif ctype == "D" and rank == 3:
+            got = _d3_column_via_a3(orbit, q_vid, sources)
+            if sources is not None:
+                return got
+        elif rank == 1:  # type B, two fixed points
+            got = _rank1_b_column(orbit, q_vid)
+        elif sources is not None:
+            return {p: typed_entry(orbit, p, q_vid) for p in sources}
+        else:
+            # typed_entry from every source, over one fiber column
+            fiber_col = _fiber_column(orbit, q_vid)
+            got = {p: typed_entry(orbit, p, q_vid, fiber_col) for p in orbit.word_of_vid}
+        orbit._columns[q_vid] = got
+    return got if sources is None else {p: got[p] for p in sources}
+
+
+def typed_restriction(orbit: Orbit, p, q) -> tuple[Poly, list[PathTerm] | None]:
+    """alpha_p(q) by the typed engine, with its ledger: the chain walk of
+    formula_AC on types A and C, the one entry of typed_column (and no
+    ledger) on the other types."""
+    if orbit.spec.ctype in ("A", "C"):
+        return formula_AC(orbit, p, q)
+    p_vid = orbit.vertex(p)
+    return typed_column(orbit, q, [p_vid])[p_vid], None
 
 
 def _rank1_b_column(orbit: Orbit, q_vid: str) -> dict[str, Poly]:
@@ -907,15 +905,13 @@ def _fiber_column(orbit: Orbit, q_vid: str,
                   sources: Iterable[str] | None = None) -> dict[str, Poly]:
     """Fiber restrictions alpha-hat_s(q) for the sources s in the fiber
     through q (all of it when None), solved on the child orbit of rank one
-    less (same type) in the free coordinates, then re-embedded into the
-    ambient coordinates.  Only the given sources are translated and
-    embedded; the full fiber column is kept on the child."""
+    less (same type) in the free coordinates by typed_column, then
+    re-embedded into the ambient coordinates."""
     child, free, vid_map = orbit.fiber_child(orbit.base_fibration().vertex_map[q_vid])
+    child_col = typed_column(child, vid_map[q_vid],
+                             None if sources is None else [vid_map[s] for s in sources])
     if sources is None:
         sources = vid_map
-        child_col = typed_column(child, vid_map[q_vid])
-    else:
-        child_col = child.column_at(vid_map[q_vid], [vid_map[s] for s in sources])
     m = orbit.rs.ambient
     return {s: _embed_poly(child_col[vid_map[s]], free, m) for s in sources}
 
@@ -928,7 +924,7 @@ def _d3_column_via_a3(orbit: Orbit, q_vid: str,
     vertices when None)."""
     a_orbit = orbit.child("A", 3, _d3_point_to_a3(orbit.mu))
     a_vid = orbit.a3_vertices
-    col = a_orbit.column(a_vid[q_vid])
+    col = typed_column(a_orbit, a_vid[q_vid])
     return {v: col[a_vid[v]].substitute(_A3_TO_D3, 3)
             for v in (a_vid if sources is None else sources)}
 

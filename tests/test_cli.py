@@ -142,6 +142,45 @@ class TestBadFilePaths:
                                    flag, str(tmp_path)], "Is a directory")
 
 
+def _set(key, value, where="edges"):
+    """A mutation of the CP^2 graph JSON: its first vertex or edge gets
+    `value` at `key`."""
+    return lambda data: data[where][0].__setitem__(key, value)
+
+
+class TestRefusedInputs:
+    """Each malformed input is refused with a message and no traceback."""
+
+    @pytest.mark.parametrize("argv, mutate, code, stream, text", [
+        (["table"], _set("id", "p2", "vertices"), 2, "err", "error: duplicate vertex ids\n"),
+        (["table"], _set("moment", ["1", "0"], "vertices"), 2, "err",
+         "error: moment of 'p1' has wrong length\n"),
+        (["table"], _set("dst", "p9"), 2, "err",
+         "error: edge ('p1','p9') references unknown vertex\n"),
+        (["table"], _set("dst", "p1"), 2, "err", "error: loop edge at 'p1'\n"),
+        (["table"], lambda data: data["edges"].append(
+            {"src": "p1", "dst": "p2", "weight": ["2", "-2", "0"]}), 2, "err",
+         "error: conflicting weights for edge ('p1', 'p2')\n"),
+        (["table"], _set("weight", ["1", "-1"]), 2, "err",
+         "error: edge ('p1','p2') weight has wrong length\n"),
+        (["validate"], _set("weight", ["0", "0", "0"]), 1, "out", "[zero-weight]"),
+        (["restrict", "--type", "A", "--rank", "2", "--p", "w:-1,2,3", "--q", "w:3,2,1"],
+         None, 2, "err", "error: SignedPerm(-1,2,3) is not an element of this group\n"),
+    ], ids=["duplicate-ids", "moment-length", "unknown-vertex", "loop-edge",
+            "conflicting-weights", "weight-length", "zero-weight", "not-in-group"])
+    def test_refused(self, capsys, tmp_path, argv, mutate, code, stream, text):
+        if mutate is not None:
+            data = projective_space_graph(2).to_json()
+            mutate(data)
+            path = tmp_path / "fault.json"
+            path.write_text(json.dumps(data))
+            argv = [*argv, "--graph", str(path)]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert text in getattr(captured, stream)
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestRestrict:
     def test_b2_worked_example(self, capsys):
         code, out = run(capsys, "restrict", "--type", "B", "--rank", "2",

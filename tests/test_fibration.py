@@ -65,19 +65,6 @@ class TestTowerSpec:
         with pytest.raises(GraphFormatError):
             bad.validate(a2.od)
 
-    def test_json_roundtrip(self, a2):
-        tw = a2.tower()
-        again = TowerSpec.from_json(tw.to_json())
-        assert [lvl.projection for lvl in again.levels] == \
-            [lvl.projection for lvl in tw.levels]
-        assert [lvl.moment for lvl in again.levels] == \
-            [lvl.moment for lvl in tw.levels]
-
-    def test_json_zero_denominator_rejected(self):
-        data = {"levels": [{"projection": {"a": "a"}, "moment": {"a": ["1/0"]}}]}
-        with pytest.raises(GraphFormatError):
-            TowerSpec.from_json(data)
-
 
 class TestTowerRestriction:
     def test_identity_tower_reduces_to_single_form(self, a2):

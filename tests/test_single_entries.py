@@ -1,6 +1,7 @@
 """Single typed B/D entries computed alone (typed_entry) against the typed
 columns, single typed B1 and D3 entries read from their column, the one
-paired sum a D4 typed query needs, and the compact gz
+paired sum a D4 typed query needs, the B2 column a B3 typed query does not
+keep, and the compact gz
 columns: one shared zero per variable count and pooled exponent tuples."""
 
 import io
@@ -83,6 +84,18 @@ def test_d4_typed_restrict_makes_one_paired_sum(monkeypatch):
                    "--q", "w:-1,-2,-3,-4", "--engine", "typed"])
     assert rc == 0 and out.getvalue().strip() != "0"
     assert len(calls) == 1 and calls[0][:2] == ("D", 4)
+
+
+def test_b3_typed_restrict_keeps_no_b2_column():
+    """One B3 entry takes the B2 fiber entries its paired sums name one at
+    a time, keeping no B2 column, and equals the typed table's entry."""
+    orbit = Orbit(OrbitSpec("B", 3))
+    p, q = orbit.vertex(SignedPerm((1, -3, -2))), orbit.vertex(SignedPerm((-1, -2, -3)))
+    value, ledger = engine_entry(orbit, "typed", p, q)
+    assert ledger is None and not value.is_zero()
+    assert value == engine_entries(Orbit(OrbitSpec("B", 3)), "typed")[(p, q)]
+    b2 = [child for child in orbit._children.values() if child.spec.rank == 2]
+    assert b2 and all(child._columns == {} for child in b2)
 
 
 def test_d4_gz_column_is_compact():

@@ -8,7 +8,6 @@ import json
 
 import pytest
 
-import gkmrest.oracle as oracle
 import gkmrest.orbits as orbits
 from gkmrest.canonical import RestrictionTable
 from gkmrest.cli import main
@@ -34,7 +33,7 @@ def digest(orbit: Orbit, entries) -> str:
 @pytest.fixture(scope="module")
 def typed_tables():
     """Typed tables of A4, C3 and D4, with the formula_AC calls made
-    through either module binding while they were built."""
+    while they were built."""
     calls = []
 
     def counted(orbit, p, q):
@@ -43,7 +42,6 @@ def typed_tables():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(orbits, "formula_AC", counted)
-        mp.setattr(oracle, "formula_AC", counted)
         tables = {}
         for ctype, rank in (("A", 4), ("C", 3), ("D", 4)):
             orbit = Orbit(OrbitSpec(ctype, rank))
@@ -92,7 +90,7 @@ class TestNoChainWalk:
             calls.append((p, q))
             return formula_AC(orbit, p, q)
 
-        monkeypatch.setattr(oracle, "formula_AC", counted)
+        monkeypatch.setattr(orbits, "formula_AC", counted)
         code = main(["restrict", "--type", "A", "--rank", "3", "--p", "w:1,3,2,4",
                      "--q", "w:3,4,1,2", "--engine", "typed", "--ledger", "--format", fmt])
         assert code == 0
