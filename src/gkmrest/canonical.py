@@ -15,11 +15,11 @@ values alpha_p(q) by several independent routes:
     depth-first walk gkm.walk_paths, and give a single entry with its
     ledger of path terms;
   * the same filtered path sum for a whole column as one backward dynamic
-    program over (vertex, level) suffix sums kept as polynomials, with one
-    exact division per vertex and level (filtered_path_column), which
-    builds the ordered and tower tables and the typed A/C columns, and
-    hands the whole column to the walker at the first sum that is not a
-    polynomial;
+    program over (vertex, level) suffix sums kept as integral polynomials
+    over one denominator each, with one exact division per vertex and
+    level (filtered_path_column), which builds the ordered and tower
+    tables and the typed A/C columns, and hands the whole column to the
+    walker at the first sum that is not a polynomial;
   * a solver that knows nothing about path formulas and only imposes the
     defining vanishing conditions together with the edge-divisibility
     congruences of localization (brute_row).
@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Collection, Iterator, Mapping, Sequence
 
@@ -283,26 +284,47 @@ def build_h_function(
     return h
 
 
+def _edge_scalars(filt: PathFilter, a: str, b: str) -> tuple:
+    """The scalars of the factor of the canonical edge (a, b): theta(a, b)
+    and the primitive splits (form, scale) of its weight eta and of
+    w_h(b) - w_h(a), h the edge's level.  The factor is theta * (w_h(b) -
+    w_h(a)) / eta, a scalar exactly when the two forms agree."""
+    j = filt.h_edge[(a, b)]
+    od = filt.od
+    eta = od.graph.edge_weight(a, b)
+    theta = od.theta(a, b)
+    return theta, eta.primitive(), (filt.w_level(j, b) - filt.w_level(j, a)).primitive()
+
+
 @dataclass
 class PathFilter:
     """A filtered path sum's levels: h_edge of each canonical edge, and
-    w_level(j, v), the level-j class at v.  factor(a, b) is
-    theta/weight * (w_h(b) - w_h(a)), which does not depend on the target:
-    it is built on first use and kept, once per edge in a table (per edge
-    and worker when forked).  Theta is only asked of an edge a sum
-    crosses, so the walker's errors and their order stay."""
+    w_level(j, v), the level-j class at v.  The scalars of an edge's
+    factor (_edge_scalars) do not depend on the target: edge(a, b) builds
+    them on first use and keeps them, once per edge in a table (per edge
+    and worker when forked).  factor(a, b), theta/weight * (w_h(b) -
+    w_h(a)) as the walker multiplies it, is made from them.  Theta is
+    only asked of an edge a sum crosses, so the walker's errors and their
+    order stay."""
 
     od: OrientedGraphData
     h_edge: Mapping[tuple[str, str], int]
     w_level: Callable[[int, str], Weight]
+    _edges: dict = field(default_factory=dict, repr=False)
     _factors: dict = field(default_factory=dict, repr=False)
+
+    def edge(self, a: str, b: str) -> tuple:
+        got = self._edges.get((a, b))
+        if got is None:
+            got = self._edges[(a, b)] = _edge_scalars(self, a, b)
+        return got
 
     def factor(self, a: str, b: str) -> LinFrac:
         got = self._factors.get((a, b))
         if got is None:
-            j = self.h_edge[(a, b)]
-            got = self._factors[(a, b)] = _edge_factor(self.od, a, b).mul_weight(
-                self.w_level(j, b) - self.w_level(j, a))
+            theta, (eta, eta_scale), (diff, diff_scale) = self.edge(a, b)
+            got = self._factors[(a, b)] = LinFrac(
+                self.od.rank, _div_scalar(theta, eta_scale) * diff_scale, (diff,), (eta,))
         return got
 
 
@@ -355,6 +377,49 @@ class _NotPolynomial(Exception):
     the whole column is then handed to filtered_path_sum."""
 
 
+def _part_ratio(theta: int, diff_scale, eta_scale, scale) -> tuple[int, int]:
+    """theta * diff_scale / (eta_scale * scale) in lowest terms as
+    (numerator, positive denominator), read off the scales' numerators and
+    denominators, so that no Fraction is made."""
+    num = theta * diff_scale.numerator * eta_scale.denominator * scale.denominator
+    den = diff_scale.denominator * eta_scale.numerator * scale.numerator
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def _over_one_denominator(poly: Poly) -> tuple[dict, int]:
+    """(terms, den) with integral terms and poly = terms / den."""
+    den = lcm(*[c.denominator for c in poly.terms.values() if type(c) is Fraction])
+    return {e: int(c * den) for e, c in poly.terms.items()}, den
+
+
+def _add_over(acc: tuple[dict, int], terms: dict, den: int) -> tuple[dict, int]:
+    """acc + terms / den for integral terms, acc a pair (terms,
+    denominator) as _over_one_denominator gives, over the lcm of the two
+    denominators, with the content divided out."""
+    acc_terms, acc_den = acc
+    if acc_terms:
+        m = lcm(acc_den, den)
+        ka, kb = m // acc_den, m // den
+        out = {e: c * ka for e, c in acc_terms.items()}
+        for e, c in terms.items():
+            t = out.get(e, 0) + c * kb
+            if t:
+                out[e] = t
+            else:
+                del out[e]
+    else:
+        out, m = terms, den
+    if m != 1:
+        g = gcd(m, *out.values())
+        if g != 1:
+            out = {e: c // g for e, c in out.items()}
+            m //= g
+    return out, m
+
+
 def filtered_path_column(od: OrientedGraphData, filt: PathFilter, q: str) -> dict[str, Poly]:
     """filtered_path_sum from every vertex to q, keyed by p in graph order,
     as one backward dynamic program instead of one walk per pair.
@@ -367,12 +432,17 @@ def filtered_path_column(od: OrientedGraphData, filt: PathFilter, q: str) -> dic
     S(v, .) only changes at the levels of v's edges, so each vertex keeps
     one cumulative sum per such level.
 
-    The sums are kept as polynomials.  The edges of one level j at v share
-    the denominator w_j(q) - w_j(v) = scale * form, with form primitive:
-    the sums S(u, j) are added up, each times its factor's scalar over
-    scale, and the total is divided once, exactly, by form.  A vertex with
-    no monotone path to q has no sum, so an edge into it never counts, as
-    in the walker.
+    The sums are polynomials kept in integers: each is a dict of integral
+    coefficients over one positive denominator, its content reduced.  The
+    edges of one level j at v share the denominator w_j(q) - w_j(v) =
+    scale * form, with form primitive: each adds S(u, j) times its
+    factor's scalar (PathFilter.edge) over scale, over the lcm of their
+    denominators, and the integral total is divided once, exactly, by
+    form.  An integral polynomial that a primitive integral form divides
+    has an integral quotient (Gauss's lemma), so the division makes no
+    Fraction.  Only the column's entries are divided by their
+    denominators.  A vertex with no monotone path to q has no sum, so an
+    edge into it never counts, as in the walker.
 
     The program stops at the first sum it cannot keep as a polynomial: a
     vanishing denominator on a monotone path to q, a factor with a form in
@@ -383,7 +453,7 @@ def filtered_path_column(od: OrientedGraphData, filt: PathFilter, q: str) -> dic
     n = od.rank
     zero = Poly.zero(n)
     reach = od.reachable
-    top = od.lambda_minus(q)
+    top = _over_one_denominator(od.lambda_minus(q))
     # v -> [(level, S(v, level))] ascending, one per level of v's edges;
     # S(v, l) is the first entry whose level is at least l
     sums: dict[str, list] = {}
@@ -391,7 +461,10 @@ def filtered_path_column(od: OrientedGraphData, filt: PathFilter, q: str) -> dic
     def suffix(u: str, j: int):
         if u == q:
             return top
-        return next((s for level, s in sums[u] if level >= j), None)
+        for level, s in sums[u]:
+            if level >= j:
+                return s
+        return None
 
     # (level, w_level(level, v)) -> the primitive split of w_level(level, q)
     # minus it; a level takes few values
@@ -403,14 +476,16 @@ def filtered_path_column(od: OrientedGraphData, filt: PathFilter, q: str) -> dic
             den = filt.w_level(j, q) - key[1]
             if den.is_zero():
                 raise _NotPolynomial
-            splits[key] = den.primitive()
+            form, scale = den.primitive()
+            splits[key] = Weight.of_exact(form), scale
         return splits[key]
 
     try:
         for v in reversed(od.order):
             if v == q or q not in reach[v]:
                 continue
-            # level -> (form, scale, terms of the total of its edges)
+            # level -> (form, scale, [(numerator, denominator, terms)]),
+            # one part per edge whose suffix sum is nonzero
             groups: dict[int, tuple] = {}
             for u in od.up[v]:
                 if q not in reach[u]:
@@ -421,24 +496,35 @@ def filtered_path_column(od: OrientedGraphData, filt: PathFilter, q: str) -> dic
                     continue
                 group = groups.get(j)
                 if group is None:
-                    group = groups[j] = (*split(j, v), {})
-                if s.terms:
-                    f = filt.factor(v, u)
-                    if f.den:
+                    group = groups[j] = (*split(j, v), [])
+                terms, den = s
+                if terms:
+                    theta, (eta, eta_scale), (diff, diff_scale) = filt.edge(v, u)
+                    if diff != eta:
                         raise _NotPolynomial
-                    # with no denominator left, its one form cancelled eta: f.num is empty
-                    c = _div_scalar(f.scalar, group[1])
-                    total = group[2]
-                    for e, a in s.terms.items():
-                        total[e] = total.get(e, 0) + c * a
+                    num, d = _part_ratio(theta, diff_scale, eta_scale, group[1])
+                    group[2].append((num, d * den, terms))
             cumulative = []
-            acc = zero
+            acc: tuple[dict, int] = ({}, 1)
             for j in sorted(groups, reverse=True):
-                form, _, terms = groups[j]
-                try:  # Poly drops the terms that cancelled
-                    acc = acc + Poly(n, terms).div_weight(Weight.of_exact(form))
+                form, _, parts = groups[j]
+                if len(parts) == 1:  # one sum times a scalar: no term cancels
+                    k, den, terms = parts[0]
+                    total = Poly(n, terms if k == 1 else {e: k * a for e, a in terms.items()},
+                                 _clean=True)
+                else:
+                    den = lcm(*[d for _, d, _ in parts])
+                    terms = {}
+                    for num, d, part in parts:
+                        k = num * (den // d)
+                        for e, a in part.items():
+                            terms[e] = terms.get(e, 0) + k * a
+                    total = Poly(n, terms)  # drops the terms that cancelled
+                try:
+                    quot = total.div_weight(form)
                 except NotDivisible:
                     raise _NotPolynomial from None
+                acc = _add_over(acc, quot.terms, den)
                 cumulative.append((j, acc))
             sums[v] = cumulative[::-1]
     except _NotPolynomial:
@@ -447,7 +533,12 @@ def filtered_path_column(od: OrientedGraphData, filt: PathFilter, q: str) -> dic
     col: dict[str, Poly] = {}
     for p in od.graph.ids:
         s = suffix(p, 0) if q in reach[p] else None
-        col[p] = zero if s is None else s.with_int_coefficients()
+        if s is None:
+            col[p] = zero
+        else:
+            terms, den = s
+            col[p] = Poly(n, terms if den == 1 else
+                          {e: _div_scalar(c, den) for e, c in terms.items()}, _clean=True)
     return col
 
 
@@ -605,7 +696,6 @@ def certify_table(od: OrientedGraphData, table: RestrictionTable) -> Certificate
     moments = {v: g.moment[v] for v in g.ids}
     integral = all(Fraction(c).denominator == 1
                    for w in moments.values() for c in w.coords)
-    integral_classes = [moments] if integral else []
     for p in g.ids:
         lam_p = od.lam[p]
         for q in g.ids:
@@ -633,11 +723,12 @@ def certify_table(od: OrientedGraphData, table: RestrictionTable) -> Certificate
             else:
                 ok = (vb - va).divisible_by_weight(eta)
             cert.note(ok, f"alpha_{p}({b}) - alpha_{p}({a}) not divisible by edge weight")
-    for p in g.ids:
-        for r in od.up[p]:
-            val = table.get(p, r)
-            for k, w in enumerate(integral_classes):
-                diff = w[r] - w[p]
+    if integral:
+        # the moment map is the one class checked, class 0 in the messages
+        for p in g.ids:
+            for r in od.up[p]:
+                val = table.get(p, r)
+                diff = moments[r] - moments[p]
                 prod = val.mul_weight(diff) if not diff.is_zero() else Poly.zero(od.rank)
                 if prod.is_zero():
                     cert.note(True, "")
@@ -649,7 +740,7 @@ def certify_table(od: OrientedGraphData, table: RestrictionTable) -> Certificate
                     continue
                 const = quot.terms.get((0,) * od.rank, 0)
                 ok = (len(quot.terms) <= 1 and Fraction(const).denominator == 1)
-                cert.note(ok, f"class {k} fails integrality on edge ({p},{r}): {quot}")
+                cert.note(ok, f"class 0 fails integrality on edge ({p},{r}): {quot}")
     return cert
 
 

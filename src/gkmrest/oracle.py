@@ -281,20 +281,22 @@ class CrossReport:
 def compare_tables(tables: Mapping[str, Mapping[tuple[str, str], Poly]],
                    ids: Sequence[str]) -> CrossReport:
     """Entrywise comparison of engine outputs; the first listed engine is
-    the reference."""
+    the reference.  Every entry has the target's n, so entries are
+    compared by their term dicts."""
     names = list(tables)
-    report = CrossReport(engines=names)
+    report = CrossReport(engines=names, pairs_checked=len(ids) ** 2)
     ref = tables[names[0]]
+    others = [(name, tables[name]) for name in names[1:]]
     for p in ids:
         for q in ids:
-            report.pairs_checked += 1
-            base = ref[(p, q)]
-            for other in names[1:]:
-                val = tables[other][(p, q)]
-                if val != base:
+            key = (p, q)
+            base = ref[key].terms
+            for other, table in others:
+                val = table[key]
+                if val.terms != base:
                     report.mismatches.append({
                         "p": p, "q": q,
-                        "engine_a": names[0], "value_a": str(base),
+                        "engine_a": names[0], "value_a": str(ref[key]),
                         "engine_b": other, "value_b": str(val),
                     })
     return report

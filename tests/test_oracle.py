@@ -246,13 +246,27 @@ class TestCrossValidate:
         assert set(rep.engines) >= {"gz", "typed", "brute", "ordered", "tower", "billey"}
 
     def test_negative_control(self, a2):
+        """Injected mismatches in two of three engines: one record per
+        (pair, engine) that differs from the first engine, in pair order,
+        then engine order."""
         good = engine_entries(a2, "gz")
-        bad = dict(good)
-        key = next(k for k, v in good.items() if not v.is_zero())
-        bad[key] = bad[key] + Poly.const(3, 1)
-        rep = compare_tables({"gz": good, "perturbed": bad}, a2.od.graph.ids)
+        ids = a2.od.graph.ids
+        live = [(p, q) for p in ids for q in ids if not good[(p, q)].is_zero()]
+        first, last = live[0], live[-1]
+        one, two = dict(good), dict(good)
+        one[last] = one[last] + Poly.const(3, 1)
+        two[first] = two[first] - Poly.const(3, 1)
+        two[last] = two[last] * Poly.const(3, 2)
+        rep = compare_tables({"gz": good, "one": one, "two": two}, ids)
         assert not rep.ok
-        assert rep.mismatches[0]["p"] == key[0] and rep.mismatches[0]["q"] == key[1]
+        assert rep.pairs_checked == 36
+
+        def record(key, engine, table):
+            return {"p": key[0], "q": key[1], "engine_a": "gz", "value_a": str(good[key]),
+                    "engine_b": engine, "value_b": str(table[key])}
+
+        assert rep.mismatches == [record(first, "two", two), record(last, "one", one),
+                                  record(last, "two", two)]
 
     def test_report_json_shape(self, a2):
         rep = cross_validate(a2, engines=["gz", "brute"])

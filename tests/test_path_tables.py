@@ -2,9 +2,11 @@
 tables against the single-pair entry points, the column DP against the
 walker on every pair and its hand-off to the walker, the rank-four tables
 that never reach the walker, reachability pruning in the walker, error
-parity of the filters, and that each filter and each edge factor is built
-once per table."""
+parity of the filters, that each filter and each edge's factor scalars
+are built once per table, and that the column's integer sums make no
+Fraction on the B3 and C3 tables."""
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,7 @@ from gkmrest.errors import (
     WeightNotPreserved,
     WellDefinednessViolation,
 )
-from gkmrest.exact import Weight
+from gkmrest.exact import Poly, Weight
 from gkmrest.fibration import (
     TowerLevel,
     TowerSpec,
@@ -205,11 +207,26 @@ class TestColumnMatchesWalker:
             assert tuple(column) == od.graph.ids
             assert column == walker_column(od, filt, q), q
 
-    @pytest.mark.parametrize("name", ["A3", "B3", "C3"])
-    def test_orbits(self, name, monkeypatch):
-        orbit = Orbit(OrbitSpec(name[0], int(name[1])))
+    @pytest.mark.parametrize("name,mu", [
+        pytest.param(name, mu, id=name if mu is None else f"{name} at {mu}")
+        for name, mu in (
+            ("A3", None), ("B3", None), ("C3", None),
+            # non-integral points: the level moments and their splits have
+            # Fraction scales, which the column's integer sums take in
+            ("A3", "-3/2,-1/2,1/2,3/2"), ("A3", "-4,-1,1/3,2/3"),
+            ("B3", "-7/2,-3,-1/2"), ("C3", "-5/2,-1,-1/3"),
+        )])
+    def test_orbits(self, name, mu, monkeypatch):
+        orbit = Orbit(OrbitSpec(name[0], int(name[1]), mu and mu.split(",")))
         for label, filt in self.filters(orbit):
             self.check_without_walker(orbit.od, filt, monkeypatch)
+
+    def test_moments_with_thirds_and_quarters(self, monkeypatch):
+        od = OrientedGraphData(product_of_projective_spaces(2, 3),
+                               Weight([1, 3, 9, 27, 81, 243, 729]))
+        assert {c.denominator for w in od.graph.moment.values() for c in w.coords
+                if isinstance(c, Fraction)} == {3, 4}
+        self.check_without_walker(od, ordered_filter(od, [dict(od.graph.moment)]), monkeypatch)
 
     def test_general_coordinates(self, monkeypatch):
         path = Path(__file__).parent / "data" / "cp2_general_coordinates.json"
@@ -420,19 +437,49 @@ class TestFilterBuiltOnce:
         assert len(calls) == 1
 
     def test_edge_factor_built_once_per_edge_of_ordered_table(self, b3, monkeypatch):
-        """The factor theta/weight * (w_h(b) - w_h(a)) depends on the edge
-        only, so a table builds it once per canonical edge it crosses,
-        not once per (edge, column)."""
+        """The scalars of the factor theta/weight * (w_h(b) - w_h(a))
+        depend on the edge only, so a table builds them once per
+        canonical edge it crosses, not once per (edge, column)."""
         calls = []
-        original = canonical._edge_factor
+        original = canonical._edge_scalars
 
-        def counting(od, a, b):
+        def counting(filt, a, b):
             calls.append((a, b))
-            return original(od, a, b)
+            return original(filt, a, b)
 
-        monkeypatch.setattr(canonical, "_edge_factor", counting)
+        monkeypatch.setattr(canonical, "_edge_scalars", counting)
         entries = engine_entries(b3, "ordered", jobs=1)
         assert len(entries) == len(b3.elements) ** 2
         edges = {(a, b) for a in b3.od.graph.ids for b in b3.od.up[a]}
         assert len(calls) == len(set(calls)) == len(edges)
         assert set(calls) == edges
+
+
+class TestIntegerColumns:
+    """The column keeps its sums in integers over one denominator each:
+    on the B3 and C3 path tables it constructs no Fraction, and it divides
+    once per (vertex, level) of each column."""
+
+    @pytest.mark.parametrize("name,engine", [
+        ("B3", "ordered"), ("B3", "tower"), ("C3", "ordered"), ("C3", "tower"), ("C3", "typed"),
+    ])
+    def test_no_fraction_and_one_division_per_level(self, name, engine, monkeypatch):
+        orbit = Orbit(OrbitSpec(name[0], int(name[1])))
+        counts = {"Fraction": 0, "div_weight": 0}
+        new, div_weight = Fraction.__new__, Poly.div_weight
+
+        def counted_new(cls, *args, **kwargs):
+            counts["Fraction"] += 1
+            return new(cls, *args, **kwargs)
+
+        def counted_div_weight(self, w):
+            counts["div_weight"] += 1
+            return div_weight(self, w)
+
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", counted_new)
+            m.setattr(Poly, "div_weight", counted_div_weight)
+            entries = engine_entries(orbit, engine, jobs=1)
+        assert len(entries) == len(orbit.elements) ** 2
+        # one division per (vertex, level) over the 48 columns
+        assert counts == {"Fraction": 0, "div_weight": 799}
