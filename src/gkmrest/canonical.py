@@ -286,32 +286,71 @@ def build_h_function(
 
 def _edge_scalars(filt: PathFilter, a: str, b: str) -> tuple:
     """The scalars of the factor of the canonical edge (a, b): theta(a, b)
-    and the primitive splits (form, scale) of its weight eta and of
-    w_h(b) - w_h(a), h the edge's level.  The factor is theta * (w_h(b) -
-    w_h(a)) / eta, a scalar exactly when the two forms agree."""
+    and the primitive splits (form, numerator, denominator) of its weight
+    eta and of w_h(b) - w_h(a), h the edge's level.  The factor is theta *
+    (w_h(b) - w_h(a)) / eta, a scalar exactly when the two forms agree."""
     j = filt.h_edge[(a, b)]
-    od = filt.od
-    eta = od.graph.edge_weight(a, b)
-    theta = od.theta(a, b)
-    return theta, eta.primitive(), (filt.w_level(j, b) - filt.w_level(j, a)).primitive()
+    eta_form, eta_scale = filt.od.graph.edge_weight(a, b).primitive()
+    return (filt.od.theta(a, b), (eta_form, eta_scale.numerator, eta_scale.denominator),
+            filt.level_split(j, a, b))
 
 
 @dataclass
 class PathFilter:
     """A filtered path sum's levels: h_edge of each canonical edge, and
-    w_level(j, v), the level-j class at v.  The scalars of an edge's
-    factor (_edge_scalars) do not depend on the target: edge(a, b) builds
-    them on first use and keeps them, once per edge in a table (per edge
-    and worker when forked).  factor(a, b), theta/weight * (w_h(b) -
-    w_h(a)) as the walker multiplies it, is made from them.  Theta is
-    only asked of an edge a sum crosses, so the walker's errors and their
-    order stay."""
+    w_level(j, v), the level-j class at v.
+
+    The filter keeps each level's class in integers, built on first use of
+    the level, once per table: one positive scale D_j, the lcm of the
+    coordinates' denominators, and the integral coordinates of D_j *
+    w_level(j, v) at every vertex.  level_split(j, v, u), the primitive
+    split of w_j(u) - w_j(v), is read off them without a Fraction and kept
+    per (level, value at v, value at u).  The scalars of an edge's factor
+    (_edge_scalars) do not depend on the target: edge(a, b) builds them on
+    first use and keeps them, once per edge in a table (per edge and
+    worker when forked).  factor(a, b), theta/weight * (w_h(b) - w_h(a))
+    as the walker multiplies it, is made from them.  Theta is only asked
+    of an edge a sum crosses, so the walker's errors and their order
+    stay."""
 
     od: OrientedGraphData
     h_edge: Mapping[tuple[str, str], int]
     w_level: Callable[[int, str], Weight]
+    _levels: dict = field(default_factory=dict, repr=False)
+    _splits: dict = field(default_factory=dict, repr=False)
     _edges: dict = field(default_factory=dict, repr=False)
     _factors: dict = field(default_factory=dict, repr=False)
+
+    def level(self, j: int) -> tuple[int, dict[str, tuple[int, ...]]]:
+        """(D_j, vertex -> integral coordinates of D_j * w_level(j, v))."""
+        got = self._levels.get(j)
+        if got is None:
+            values = {v: self.w_level(j, v).coords for v in self.od.graph.ids}
+            scale = lcm(*[c.denominator for coords in values.values() for c in coords])
+            got = self._levels[j] = scale, {
+                v: tuple(c.numerator * (scale // c.denominator) for c in coords)
+                for v, coords in values.items()}
+        return got
+
+    def level_split(self, j: int, v: str, u: str) -> tuple | None:
+        """The primitive split (form, numerator, denominator) of w_j(u) -
+        w_j(v), its scale numerator / denominator in lowest terms with a
+        positive denominator; None when the difference vanishes."""
+        scale, values = self.level(j)
+        key = (j, values[v], values[u])
+        if key in self._splits:
+            return self._splits[key]
+        diff = [b - a for a, b in zip(key[1], key[2])]
+        g = gcd(*diff)
+        if g == 0:
+            got = None
+        else:
+            if next(c for c in diff if c) < 0:
+                g = -g
+            d = gcd(g, scale)
+            got = (tuple(c // g for c in diff), g // d, scale // d)
+        self._splits[key] = got
+        return got
 
     def edge(self, a: str, b: str) -> tuple:
         got = self._edges.get((a, b))
@@ -322,9 +361,10 @@ class PathFilter:
     def factor(self, a: str, b: str) -> LinFrac:
         got = self._factors.get((a, b))
         if got is None:
-            theta, (eta, eta_scale), (diff, diff_scale) = self.edge(a, b)
+            theta, eta, diff = self.edge(a, b)
+            num, den = _part_ratio(theta, diff, eta, 1, 1)
             got = self._factors[(a, b)] = LinFrac(
-                self.od.rank, _div_scalar(theta, eta_scale) * diff_scale, (diff,), (eta,))
+                self.od.rank, _div_scalar(num, den), (diff[0],), (eta[0],))
         return got
 
 
@@ -377,12 +417,12 @@ class _NotPolynomial(Exception):
     the whole column is then handed to filtered_path_sum."""
 
 
-def _part_ratio(theta: int, diff_scale, eta_scale, scale) -> tuple[int, int]:
-    """theta * diff_scale / (eta_scale * scale) in lowest terms as
-    (numerator, positive denominator), read off the scales' numerators and
-    denominators, so that no Fraction is made."""
-    num = theta * diff_scale.numerator * eta_scale.denominator * scale.denominator
-    den = diff_scale.denominator * eta_scale.numerator * scale.numerator
+def _part_ratio(theta: int, diff: tuple, eta: tuple, num: int, den: int) -> tuple[int, int]:
+    """theta * diff_scale / (eta_scale * num / den) in lowest terms as
+    (numerator, positive denominator), diff and eta primitive splits
+    (form, numerator, denominator) as _edge_scalars gives them, so that no
+    Fraction is made."""
+    num, den = theta * diff[1] * eta[2] * den, diff[2] * eta[1] * num
     g = gcd(num, den)
     if den < 0:
         g = -g
@@ -466,26 +506,13 @@ def filtered_path_column(od: OrientedGraphData, filt: PathFilter, q: str) -> dic
                 return s
         return None
 
-    # (level, w_level(level, v)) -> the primitive split of w_level(level, q)
-    # minus it; a level takes few values
-    splits: dict = {}
-
-    def split(j: int, v: str):
-        key = (j, filt.w_level(j, v))
-        if key not in splits:
-            den = filt.w_level(j, q) - key[1]
-            if den.is_zero():
-                raise _NotPolynomial
-            form, scale = den.primitive()
-            splits[key] = Weight.of_exact(form), scale
-        return splits[key]
-
     try:
         for v in reversed(od.order):
             if v == q or q not in reach[v]:
                 continue
-            # level -> (form, scale, [(numerator, denominator, terms)]),
-            # one part per edge whose suffix sum is nonzero
+            # level -> (form, scale numerator, scale denominator,
+            # [(numerator, denominator, terms)]), one part per edge whose
+            # suffix sum is nonzero
             groups: dict[int, tuple] = {}
             for u in od.up[v]:
                 if q not in reach[u]:
@@ -496,18 +523,21 @@ def filtered_path_column(od: OrientedGraphData, filt: PathFilter, q: str) -> dic
                     continue
                 group = groups.get(j)
                 if group is None:
-                    group = groups[j] = (*split(j, v), [])
+                    split = filt.level_split(j, v, q)
+                    if split is None:
+                        raise _NotPolynomial
+                    group = groups[j] = (Weight.of_exact(split[0]), split[1], split[2], [])
                 terms, den = s
                 if terms:
-                    theta, (eta, eta_scale), (diff, diff_scale) = filt.edge(v, u)
-                    if diff != eta:
+                    theta, eta, diff = filt.edge(v, u)
+                    if diff[0] != eta[0]:
                         raise _NotPolynomial
-                    num, d = _part_ratio(theta, diff_scale, eta_scale, group[1])
-                    group[2].append((num, d * den, terms))
+                    num, d = _part_ratio(theta, diff, eta, group[1], group[2])
+                    group[3].append((num, d * den, terms))
             cumulative = []
             acc: tuple[dict, int] = ({}, 1)
             for j in sorted(groups, reverse=True):
-                form, _, parts = groups[j]
+                form, _, _, parts = groups[j]
                 if len(parts) == 1:  # one sum times a scalar: no term cancels
                     k, den, terms = parts[0]
                     total = Poly(n, terms if k == 1 else {e: k * a for e, a in terms.items()},

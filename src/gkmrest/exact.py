@@ -370,51 +370,76 @@ class Poly:
         return self._div_general(d)
 
     def div_weight(self, w: Weight) -> "Poly":
-        """Exact division by a (homogeneous) linear form via synthetic
-        division in the form's leading variable.  The quotient's exponent
-        tuples come from _EXP_POOL."""
-        piv = next((i for i, c in enumerate(w.coords) if c != 0), None)
+        """Exact division by a linear form: synthetic division in the
+        form's leading variable x_piv, the one kernel every division by a
+        form goes through (path columns, gz columns, div_exact).
+
+        Writing self = sum_k x_piv^k a_k, the quotient's part q_{k-1} at
+        pivot exponent k - 1 is (a_k - rest * q_k) / c0, c0 the pivot
+        coefficient and rest the form's other terms; at k = 0 the remainder
+        a_0 - rest * q_0 must vanish.  The dividend is bucketed by pivot
+        exponent into dicts of its own terms, into which the carries
+        -rest * q_k are merged.  Each quotient exponent is the term's
+        exponent with its pivot slot lowered, and each carry that exponent
+        with one more slot raised, both edited in one list per term.  An
+        int coefficient over an int pivot is divided inline; any other
+        goes through _div_scalar, so integral coefficients come out as
+        ints.  The quotient's exponent tuples come from _EXP_POOL."""
+        coords = w.coords
+        piv = next((i for i, c in enumerate(coords) if c != 0), None)
         if piv is None:
             raise ZeroDivisionError("division by zero form")
-        if self.is_zero():
+        if not self.terms:
             return self
-        c0 = w.coords[piv]
-        # rest = the form minus its pivot term, as (index, coeff) pairs
-        rest = [(i, c) for i, c in enumerate(w.coords) if c != 0 and i != piv]
-        # bucket terms by pivot exponent, keys with the pivot slot zeroed
-        buckets: dict[int, dict] = {}
+        c0 = coords[piv]
+        rest = [(i, c) for i, c in enumerate(coords) if c != 0 and i != piv]
+        levels: dict[int, dict] = {}
         for e, c in self.terms.items():
-            e0 = e[:piv] + (0,) + e[piv + 1:]
-            buckets.setdefault(e[piv], {})[e0] = c
-        top = max(buckets)
-        quot: dict = {}
-        if len(_EXP_POOL) >= _EXP_POOL_LIMIT:
-            _EXP_POOL.clear()
-        # writing self = sum_k x_piv^k a_k and quotient = sum_k x_piv^k q_k:
-        #   a_k = c0 * q_{k-1} + rest * q_k   =>   q_{k-1} = (a_k - rest*q_k)/c0
-        # and at k = 0 the remainder a_0 - rest*q_0 must vanish
-        qk: dict = {}
-        for k in range(top, -1, -1):
-            num = dict(buckets.get(k, {}))
-            for e, c in qk.items():
-                for i, rc in rest:
-                    e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
-                    s = num.get(e2, 0) - rc * c
-                    if s == 0:
-                        num.pop(e2, None)
-                    else:
-                        num[e2] = s
-            if k == 0:
-                break
-            if c0 == 1:  # every primitive root form: only Fractions need normalising
-                qk = {e: c if type(c) is int else _div_scalar(c, 1) for e, c in num.items()}
+            level = levels.get(e[piv])
+            if level is None:
+                levels[e[piv]] = {e: c}
             else:
-                qk = {e: _div_scalar(c, c0) for e, c in num.items()}
-            for e, v in qk.items():
-                e2 = e[:piv] + (k - 1,) + e[piv + 1:]
-                quot[_EXP_POOL.setdefault(e2, e2)] = v
-        if num:
-            raise NotDivisible(f"not divisible by linear form {format_weight(w.coords)}")
+                level[e] = c
+        pool = _EXP_POOL
+        if len(pool) >= _EXP_POOL_LIMIT:
+            pool.clear()
+        keep = pool.setdefault
+        int_pivot = type(c0) is int
+        unit = int_pivot and c0 == 1
+        quot: dict = {}
+        for k in range(max(levels), 0, -1):
+            num = levels.pop(k, None)
+            if not num:
+                continue
+            below = None  # the level the carries land in, made on demand
+            if rest:
+                below = levels.get(k - 1)
+                if below is None:
+                    below = levels[k - 1] = {}
+            for e, c in num.items():
+                if type(c) is not int or not int_pivot:
+                    qc = _div_scalar(c, c0)
+                elif unit:
+                    qc = c
+                elif c % c0:
+                    qc = Fraction(c, c0)
+                else:
+                    qc = c // c0
+                edit = list(e)
+                edit[piv] = k - 1
+                qe = tuple(edit)
+                quot[keep(qe, qe)] = qc
+                for i, rc in rest:
+                    edit[i] += 1
+                    ce = tuple(edit)
+                    edit[i] -= 1
+                    s = below.get(ce, 0) - rc * qc
+                    if s:
+                        below[ce] = s
+                    else:
+                        del below[ce]
+        if levels.get(0):
+            raise NotDivisible(f"not divisible by linear form {format_weight(coords)}")
         return Poly(self.n, quot, _clean=True)
 
     def _div_general(self, d: "Poly") -> "Poly":

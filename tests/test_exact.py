@@ -216,6 +216,27 @@ class TestDivision:
         w = Weight((1, 2, 0))
         assert p.div_weight(w) == p._div_general(Poly.from_weight(w))
 
+    def test_quotient_exponents_shared_and_pool_bounded(self, monkeypatch):
+        """Quotients of equal inputs share their exponent tuples, which
+        keeps a table's monomials once in memory, and _EXP_POOL stays
+        within its limit across divisions, as for from_json."""
+        import gkmrest.exact as exact
+        monkeypatch.setattr(exact, "_EXP_POOL", {})
+        n = 3
+        p = parse_poly("x1^3 - x3^3", n) * parse_poly("x1 + 2*x2 - x3", n)
+        w = Weight((1, 2, -1))
+        first, second = p.div_weight(w), Poly(n, dict(p.terms)).div_weight(w)
+        assert first == parse_poly("x1^3 - x3^3", n)
+        assert list(first.terms) == list(second.terms)
+        assert all(a is b for a, b in zip(first.terms, second.terms, strict=True))
+        monkeypatch.setattr(exact, "_EXP_POOL_LIMIT", 2)
+        for k in range(5):
+            # (x1 - x2) * x1^k: one carry, a one-term quotient
+            q = parse_poly(f"x1^{k + 1} - x1^{k}*x2", 2).div_weight(Weight((1, -1)))
+            assert q.terms == {(k, 0): 1}
+            assert next(iter(q.terms)) is exact._EXP_POOL[(k, 0)]
+            assert len(exact._EXP_POOL) <= 2
+
     def test_roundtrip_random(self):
         rng = random.Random(11)
         for _ in range(60):

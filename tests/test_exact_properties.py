@@ -3,8 +3,9 @@
 Every engine rests on gkmrest.exact, so engine agreement cannot catch a
 fault there.  These tests check each operation on random polynomials (up to
 four variables and degree four, with integer, negative and half-integer
-coefficients) and random linear forms (one, two, or three or more nonzero
-coordinates) against sympy's own arithmetic."""
+coefficients; a dividend of a division by a form also reaches degree eight
+in the form's pivot variable) and random linear forms (one, two, or three
+or more nonzero coordinates) against sympy's own arithmetic."""
 
 from fractions import Fraction
 from math import gcd
@@ -121,12 +122,27 @@ def test_ring_operations(args):
     assert (a == b) == (a.n == b.n and not sym_terms(sym(a) - sym(b), n))
 
 
-@pytest.mark.parametrize("support", SUPPORTS)
-@SETTINGS
-@given(data=st.data())
-def test_div_weight(support, data):
-    n, p, w = data.draw(poly_and_form(support))
-    assert p.mul_weight(w).div_weight(w).terms == p.terms
+@st.composite
+def deep_polys(draw, n, piv):
+    """A polynomial with one to twelve terms whose exponents in x_piv
+    reach up to eight, so that a division by a form with pivot piv
+    carries across several pivot levels."""
+    def monomial(k):
+        e = [draw(st.integers(0, 2)) for _ in range(n)]
+        e[piv] = k
+        return tuple(e)
+    levels = draw(st.lists(st.sampled_from((8, 5, 3, 6, 1, 0, 7, 2, 4)), min_size=1, max_size=12))
+    return Poly(n, {monomial(k): draw(nonzero) for k in levels})
+
+
+def integral_coefficients_are_ints(q: Poly) -> bool:
+    return not any(type(c) is Fraction and c.denominator == 1 for c in q.terms.values())
+
+
+def check_div_weight(n, p, w):
+    exact = p.mul_weight(w).div_weight(w)
+    assert exact.terms == p.terms
+    assert integral_coefficients_are_ints(exact)
     try:
         q = p.div_weight(w)
     except NotDivisible:
@@ -134,6 +150,19 @@ def test_div_weight(support, data):
     else:
         assert q.mul_weight(w).terms == p.terms
         assert divides(sym_form(w), sym(p), n)
+        assert integral_coefficients_are_ints(q)
+
+
+@pytest.mark.parametrize("support", SUPPORTS)
+@SETTINGS
+@given(data=st.data())
+def test_div_weight(support, data):
+    """Each example divides a polynomial of total degree at most four and
+    one of pivot degree up to eight by the same form."""
+    n, p, w = data.draw(poly_and_form(support))
+    check_div_weight(n, p, w)
+    piv = next(i for i, c in enumerate(w.coords) if c != 0)
+    check_div_weight(n, data.draw(deep_polys(n, piv)), w)
 
 
 @SETTINGS

@@ -4,7 +4,8 @@ walker on every pair and its hand-off to the walker, the rank-four tables
 that never reach the walker, reachability pruning in the walker, error
 parity of the filters, that each filter and each edge's factor scalars
 are built once per table, and that the column's integer sums make no
-Fraction on the B3 and C3 tables."""
+Fraction on the A3, B3 and C3 tables and on products of projective
+spaces."""
 
 from fractions import Fraction
 from pathlib import Path
@@ -455,31 +456,65 @@ class TestFilterBuiltOnce:
         assert set(calls) == edges
 
 
+def counting_fractions_and_divisions(monkeypatch, run):
+    """run() and the Fraction constructions and Poly.div_weight calls it
+    made."""
+    counts = {"Fraction": 0, "div_weight": 0}
+    new, div_weight = Fraction.__new__, Poly.div_weight
+
+    def counted_new(cls, *args, **kwargs):
+        counts["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_div_weight(self, w):
+        counts["div_weight"] += 1
+        return div_weight(self, w)
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", counted_new)
+        m.setattr(Poly, "div_weight", counted_div_weight)
+        got = run()
+    return got, counts
+
+
 class TestIntegerColumns:
     """The column keeps its sums in integers over one denominator each:
     on the B3 and C3 path tables it constructs no Fraction, and it divides
-    once per (vertex, level) of each column."""
+    once per (vertex, level) of each column; on A3 and on products of
+    projective spaces, whose level classes are not integral, its columns
+    construct none either."""
 
     @pytest.mark.parametrize("name,engine", [
         ("B3", "ordered"), ("B3", "tower"), ("C3", "ordered"), ("C3", "tower"), ("C3", "typed"),
     ])
     def test_no_fraction_and_one_division_per_level(self, name, engine, monkeypatch):
         orbit = Orbit(OrbitSpec(name[0], int(name[1])))
-        counts = {"Fraction": 0, "div_weight": 0}
-        new, div_weight = Fraction.__new__, Poly.div_weight
-
-        def counted_new(cls, *args, **kwargs):
-            counts["Fraction"] += 1
-            return new(cls, *args, **kwargs)
-
-        def counted_div_weight(self, w):
-            counts["div_weight"] += 1
-            return div_weight(self, w)
-
-        with monkeypatch.context() as m:
-            m.setattr(Fraction, "__new__", counted_new)
-            m.setattr(Poly, "div_weight", counted_div_weight)
-            entries = engine_entries(orbit, engine, jobs=1)
+        entries, counts = counting_fractions_and_divisions(
+            monkeypatch, lambda: engine_entries(orbit, engine, jobs=1))
         assert len(entries) == len(orbit.elements) ** 2
         # one division per (vertex, level) over the 48 columns
         assert counts == {"Fraction": 0, "div_weight": 799}
+
+    @pytest.mark.parametrize("name,engine,divisions", [
+        ("A3", "ordered", 189), ("A3", "tower", 189), ("A3", "typed", 189),
+        ("CP2xCP3", "ordered", 48), ("CP1^4", "ordered", 65),
+    ])
+    def test_no_fraction_on_non_integral_levels(self, name, engine, divisions, monkeypatch):
+        """A3's level classes are half-integral and the products' moments
+        have thirds and quarters; the filter keeps them as integers over
+        one scale per level, so the columns make no Fraction either.  The
+        filter is built first and only the columns are counted."""
+        if name == "A3":
+            orbit = Orbit(OrbitSpec("A", 3))
+            od = orbit.od
+            filt = {"ordered": lambda: ordered_filter(od, tower_classes(orbit)),
+                    "tower": lambda: tower_filter(od, orbit.tower()),
+                    "typed": lambda: orbit.coordinate_filter}[engine]()
+        else:
+            g = product_of_projective_spaces(*({"CP2xCP3": (2, 3), "CP1^4": (1, 1, 1, 1)}[name]))
+            od = OrientedGraphData(g, choose_generic_xi(g))
+            filt = ordered_filter(od, [dict(g.moment)])
+        columns, counts = counting_fractions_and_divisions(
+            monkeypatch, lambda: [filtered_path_column(od, filt, q) for q in od.graph.ids])
+        assert len(columns) == len(od.graph.ids)
+        assert counts == {"Fraction": 0, "div_weight": divisions}
