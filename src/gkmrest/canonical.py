@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -614,39 +614,46 @@ def verify_tech(
 # ---------------------------------------------------------------------------
 
 def _solve_congruences(
-    congs: Sequence[tuple[Weight, Poly]], hres_of: Sequence[Poly | None],
+    congs: Sequence[tuple[Weight, Poly]],
+    steps: Sequence[tuple[tuple[Weight, ...] | None, Poly]],
     degree: int, n: int,
 ) -> Poly:
     """The unique homogeneous polynomial of the given degree congruent to
     f_i modulo the linear form eta_i for every supplied pair (eta_i, f_i).
 
-    Built incrementally: a partial solution for the first k congruences is
-    corrected by a multiple of eta_1*...*eta_k computed on the (k+1)-st
-    hyperplane.  hres_of[k] is that product restricted to eta_{k+1} = 0,
-    None when a factor vanishes there (OrientedGraphData.congruence_products).
-    Degrees are forced, so failure of any exact division means the
-    congruences are unsolvable in this degree."""
-    g = Poly.zero(n)
-    used: list[Weight] = []
-    for (eta, f), hres in zip(congs, hres_of, strict=True):
-        delta = (f - g).restrict_zero(eta)
-        if delta.is_zero():
-            used.append(eta)
+    Built incrementally: a partial solution g for the first k congruences
+    is corrected by a multiple of eta_1*...*eta_k, whose cofactor is
+    (f_{k+1} - g) on the (k+1)-st hyperplane divided by eta_1, ..., eta_k
+    restricted there.  steps[k] holds those restricted forms, None when one
+    of them vanishes, and the unrestricted product
+    (OrientedGraphData.congruence_products).  The corrections are summed
+    into one term dict.  Degrees are forced, so failure of any exact
+    division means the congruences are unsolvable in this degree."""
+    total: dict = {}
+    g = Poly(n, total, _clean=True)  # local: total is summed in place
+    for k, ((eta, f), (forms, prod)) in enumerate(zip(congs, steps, strict=True)):
+        u = f.restrict_zero(eta, minus=g)
+        if u.is_zero():
             continue
-        if len(used) > degree:
+        if k > degree:
             raise NoSolution("correction term would need negative degree")
-        if hres is None:
+        if forms is None:
             raise NoSolution("dependent congruence directions")
         try:
-            u = delta.div_exact(hres)
+            for h in forms:
+                u = u.div_weight(h)
         except NotDivisible as exc:
             raise NoSolution(f"congruences are inconsistent: {exc}") from exc
-        add = u
-        for h in used:
-            add = add.mul_weight(h)
-        g = (g + add).with_int_coefficients()
-        used.append(eta)
-    return g
+        # total += u * prod, one product per correction
+        for e1, c1 in u.terms.items():
+            for e2, c2 in prod.terms.items():
+                e = tuple(map(add, e1, e2))
+                s = total.get(e, 0) + c1 * c2
+                if s:
+                    total[e] = s
+                else:
+                    del total[e]
+    return g.with_int_coefficients()
 
 
 def brute_row(od: OrientedGraphData, p: str, until: str | None = None) -> dict[str, Poly]:
@@ -679,7 +686,7 @@ def brute_row(od: OrientedGraphData, p: str, until: str | None = None) -> dict[s
                 raise NoSolution(f"value at {v} is not homogeneous of degree {d}")
         if v == p or od.lam[v] <= d:
             for eta, f in congs:
-                if val != f and not (val - f).divisible_by_weight(eta):
+                if val != f and val.restrict_zero(eta, minus=f):
                     raise NoSolution(
                         f"imposed value at {v} violates the congruence along ({v},...)")
         row[v] = val

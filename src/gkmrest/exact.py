@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -465,90 +466,70 @@ class Poly:
 
     # -- substitution ------------------------------------------------------
 
-    def restrict_zero(self, w: Weight) -> "Poly":
+    def restrict_zero(self, w: Weight, minus: "Poly | None" = None) -> "Poly":
         """Restrict to the hyperplane w = 0 by eliminating the form's
         leading variable.  The result lives in the same variable set with
-        that variable absent.  self is divisible by w iff this is zero."""
+        that variable absent.  self is divisible by w iff this is zero.
+        With minus, the restriction of self - minus, made without building
+        the difference."""
         piv = next((i for i, c in enumerate(w.coords) if c != 0), None)
         if piv is None:
             raise ZeroDivisionError("restriction along zero form")
         c0 = w.coords[piv]
         rest = [(i, c) for i, c in enumerate(w.coords) if c != 0 and i != piv]
-        out: dict = {}
         if not rest:
             # substitute x_piv = 0: drop terms touching the pivot
-            for e, c in self.terms.items():
-                if e[piv] == 0:
-                    out[e] = c
+            out = {e: c for e, c in self.terms.items() if e[piv] == 0}
+            if minus is not None:
+                for e, c in minus.terms.items():
+                    if e[piv] == 0:
+                        s = out.get(e, 0) - c
+                        if s:
+                            out[e] = s
+                        else:
+                            del out[e]
             return Poly(self.n, out, _clean=True)
         if len(rest) == 1:
-            # substitute x_piv = r * x_j: a monomial rename with a scale
+            # substitute x_piv = r * x_j: a monomial rename with a scale;
+            # minus's terms are scaled by the negated powers of r
             j, cj = rest[0]
             r = _div_scalar(-cj, c0)
-            powers = [1]
-            for e, c in self.terms.items():
-                k = e[piv]
-                while len(powers) <= k:
-                    powers.append(powers[-1] * r)
-                e2 = list(e)
-                e2[piv] = 0
-                e2[j] += k
-                e2 = tuple(e2)
-                s = out.get(e2, 0) + c * powers[k]
-                if s == 0:
-                    out.pop(e2, None)
-                else:
-                    out[e2] = s
+            parts = [(self.terms, [1])]
+            if minus is not None:
+                parts.append((minus.terms, [-1]))
+            out = {}
+            for terms, powers in parts:
+                for e, c in terms.items():
+                    k = e[piv]
+                    if k:
+                        while len(powers) <= k:
+                            powers.append(powers[-1] * r)
+                        e2 = list(e)
+                        e2[piv] = 0
+                        e2[j] += k
+                        e = tuple(e2)
+                    s = out.get(e, 0) + c * powers[k]
+                    if s == 0:
+                        out.pop(e, None)
+                    else:
+                        out[e] = s
             return Poly(self.n, out, _clean=True)
         # any other form: x_piv -> -(rest)/c0, every other variable fixed
         images = [Weight(int(i == j) for i in range(self.n)) for j in range(self.n)]
         images[piv] = Weight(0 if i == piv else _div_scalar(-c, c0)
                              for i, c in enumerate(w.coords))
-        return self.substitute(images, self.n)
+        items = self.terms.items()
+        if minus is not None:
+            items = chain(items, ((e, -c) for e, c in minus.terms.items()))
+        return _substituted(items, images, self.n)
 
     def divisible_by_weight(self, w: Weight) -> bool:
         return self.restrict_zero(w).is_zero()
 
     def substitute(self, images: Sequence[Weight], n_out: int) -> "Poly":
         """Linear change of variables x_i -> images[i] (a form in n_out
-        coordinates).
-
-        The images are scaled by the common denominator D of their
-        coordinates, so the expansion multiplies integral forms; a term of
-        degree k picks up D^k, which is divided out at the end.  Integral
-        coefficients come out as ints."""
-        den = 1
-        for w in images:
-            for c in w.coords:
-                if type(c) is Fraction:
-                    den = den * c.denominator // gcd(den, c.denominator)
-        img = [Poly.from_weight(den * w) if not w.is_zero() else Poly.zero(n_out)
-               for w in images]
-        cache: dict[tuple[int, int], Poly] = {}
-
-        def power(i, k):
-            if k == 0:
-                return Poly.const(n_out, 1)
-            got = cache.get((i, k))
-            if got is None:
-                got = power(i, k - 1) * img[i]
-                cache[(i, k)] = got
-            return got
-
-        out: dict = {}
-        for e, c in self.terms.items():
-            t = Poly.const(n_out, c)
-            for i, k in enumerate(e):
-                if k:
-                    t = t * power(i, k)
-            for e2, c2 in t.terms.items():
-                s = out.get(e2, 0) + c2
-                if s == 0:
-                    out.pop(e2, None)
-                else:
-                    out[e2] = s
-        return Poly(n_out, {e: _div_scalar(c, den ** sum(e)) for e, c in out.items()},
-                    _clean=True)
+        coordinates), by _substituted."""
+        return _substituted(self.terms.items(), images, n_out)
 
     # -- serialization -----------------------------------------------------
 
@@ -598,6 +579,48 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def _substituted(items: Iterable, images: Sequence[Weight], n_out: int) -> Poly:
+    """The sum of the terms (exponent, coefficient) after the linear change
+    of variables x_i -> images[i] (a form in n_out coordinates).
+
+    The images are scaled by the common denominator D of their
+    coordinates, so the expansion multiplies integral forms; a term of
+    degree k picks up D^k, which is divided out at the end.  Integral
+    coefficients come out as ints."""
+    den = 1
+    for w in images:
+        for c in w.coords:
+            if type(c) is Fraction:
+                den = den * c.denominator // gcd(den, c.denominator)
+    img = [Poly.from_weight(den * w) if not w.is_zero() else Poly.zero(n_out)
+           for w in images]
+    cache: dict[tuple[int, int], Poly] = {}
+
+    def power(i, k):
+        if k == 0:
+            return Poly.const(n_out, 1)
+        got = cache.get((i, k))
+        if got is None:
+            got = power(i, k - 1) * img[i]
+            cache[(i, k)] = got
+        return got
+
+    out: dict = {}
+    for e, c in items:
+        t = Poly.const(n_out, c)
+        for i, k in enumerate(e):
+            if k:
+                t = t * power(i, k)
+        for e2, c2 in t.terms.items():
+            s = out.get(e2, 0) + c2
+            if s == 0:
+                out.pop(e2, None)
+            else:
+                out[e2] = s
+    return Poly(n_out, {e: _div_scalar(c, den ** sum(e)) for e, c in out.items()},
+                _clean=True)
 
 
 # ---------------------------------------------------------------------------

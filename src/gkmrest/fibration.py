@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -97,14 +98,20 @@ def tower_h_function(od: OrientedGraphData, tower: TowerSpec) -> dict[tuple[str,
 def check_weight_preserving(od: OrientedGraphData, tower: TowerSpec,
                             h: Mapping[tuple[str, str], int]):
     """At each canonical edge's separating level the pulled-back moment
-    difference must be a positive multiple of the edge weight."""
-    from .gkm import _proportionality
+    difference must be a positive multiple of the edge weight.  The
+    differences are taken on the integral level coordinates that the
+    tower's filter keeps (PathFilter.level), whose positive scale keeps
+    their sign, and are compared with the weight without a division."""
+    levels = PathFilter(od, h, lambda j, v: tower.levels[j - 1].moment[v]).level
     for (a, b), j in h.items():
-        lvl = tower.levels[j - 1]
-        diff = lvl.moment[b] - lvl.moment[a]
-        eta = od.graph.edge_weight(a, b)
-        m = _proportionality(diff.coords, eta.coords)
-        if m is None or m <= 0:
+        values = levels(j)[1]
+        diff = tuple(map(sub, values[b], values[a]))
+        eta = od.graph.edge_weight(a, b).coords
+        # diff = m * eta with m > 0 iff every 2x2 minor against the pivot
+        # of eta vanishes and diff has eta's sign at the pivot
+        piv = next(i for i, c in enumerate(eta) if c != 0)
+        if (diff[piv] * eta[piv] <= 0
+                or any(d * eta[piv] != diff[piv] * c for d, c in zip(diff, eta))):
             raise WeightNotPreserved(
                 f"level {j} moment difference along ({a},{b}) is not a positive "
                 f"multiple of the edge weight")

@@ -269,7 +269,7 @@ class OrientedGraphData:
         self._theta_cache: dict[tuple[str, str], int] = {}
         self._projections: dict[tuple[tuple, tuple], tuple | None] = {}
         self._gz_coefficients: dict[tuple[str, str], int | Fraction] = {}
-        self._congruence_products: dict[str, tuple[Poly | None, ...]] = {}
+        self._congruence_products: dict[str, tuple] = {}
 
     @property
     def rank(self) -> int:
@@ -363,27 +363,33 @@ class OrientedGraphData:
             c = self._gz_coefficients[(v, r)] = magnitude(self.graph, v, r) * th
         return c
 
-    def congruence_products(self, v: str) -> tuple[Poly | None, ...]:
+    def congruence_products(self, v: str) -> tuple[tuple[tuple[Weight, ...] | None, Poly], ...]:
         """For the k-th lower neighbour of v (lower_adj order), with eta_h
-        the weight of the edge from the h-th one to v: the product of
-        eta_h over h < k restricted to eta_k = 0, or None when a factor
-        vanishes there.  These are the divisors of the brute congruence
-        solver; they do not depend on the row, so they are memoised per
-        vertex."""
+        the weight of the edge from the h-th one to v: the forms eta_h for
+        h < k restricted to eta_k = 0 (None when one of them vanishes
+        there), and the product of those eta_h unrestricted.  These are the
+        divisors and multipliers of the brute congruence solver; they do
+        not depend on the row, so they are memoised per vertex."""
         got = self._congruence_products.get(v)
         if got is None:
             etas = [self.graph.weights[(r, v)] for r in self.lower_adj[v]]
-            products: list[Poly | None] = []
+            steps = []
+            prod = Poly.const(self.rank, 1)
             for k, eta in enumerate(etas):
-                prod = Poly.const(self.rank, 1)
+                # eta_h on eta = 0: eta_h - (eta_h[piv] / eta[piv]) * eta,
+                # piv the pivot that Poly.restrict_zero eliminates
+                piv = next(i for i, c in enumerate(eta.coords) if c != 0)
+                forms = []
                 for h in etas[:k]:
-                    piece = Poly.from_weight(h).restrict_zero(eta)
+                    t = _div_scalar(h.coords[piv], eta.coords[piv])
+                    piece = h - t * eta if t else h
                     if piece.is_zero():
-                        prod = None
+                        forms = None
                         break
-                    prod = prod * piece
-                products.append(prod)
-            got = self._congruence_products[v] = tuple(products)
+                    forms.append(piece)
+                steps.append((forms if forms is None else tuple(forms), prod))
+                prod = prod.mul_weight(eta)
+            got = self._congruence_products[v] = tuple(steps)
         return got
 
     @cached_property

@@ -517,6 +517,20 @@ class Orbit:
             got = self._level_ids[j] = {w: text[pt] for w, pt in points.items()}
         return got
 
+    def lambda_minus_linfrac(self, w) -> LinFrac:
+        """The downward product at w's vertex, read off the group: the
+        positive roots beta with <w(mu), beta> > 0.  They are the weights
+        of the edges from w(mu) down in phi (build_orbit_gkm, orbit_xi), so
+        this equals od.lambda_minus_linfrac at that vertex, and it builds
+        no graph."""
+        point = Weight.of_exact(tuple(map(_signed_entries(self.mu.coords),
+                                          self._inverse[self.element(w).word])))
+        f = LinFrac.one(self.rs.ambient)
+        for beta in self.rs.positive_roots:
+            if pair(beta, point) > 0:
+                f = f.mul_weight(beta)
+        return f
+
     def _certify(self, od: OrientedGraphData):
         phis = sorted(od.phi.values())
         for a, b in zip(phis, phis[1:]):
@@ -709,7 +723,7 @@ def formula_AC(orbit: Orbit, p, q) -> tuple[Poly, list[PathTerm]]:
         raise GraphFormatError("closed formula applies to types A and C only")
     m = orbit.rs.ambient
     wp, wq = orbit.element(p), orbit.element(q)
-    lam_q = orbit.od.lambda_minus_linfrac(orbit.vid_of[wq.word])
+    lam_q = orbit.lambda_minus_linfrac(wq)
     ledger: list[PathTerm] = []
     for path, slots in _monotone_cover_paths(orbit, wp, wq):
         value = lam_q

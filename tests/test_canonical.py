@@ -19,6 +19,7 @@ from gkmrest.canonical import (
 from gkmrest.errors import GraphFormatError, NoSolution
 from gkmrest.exact import Poly, Weight
 from gkmrest.gkm import GkmGraph, OrientedGraphData
+from gkmrest.oracle import engine_entries, oriented_graph
 
 from conftest import projective_space_graph, restriction_table
 from reference import parse_poly
@@ -157,6 +158,15 @@ class TestBrute:
             [("a", (0, 0, 0)), ("p", (1, 0, 0)), ("r", (1, 1, -1)), ("v", (1, 1, 0))],
             [("a", "p", (1, 0, 0)), ("p", "v", (0, 1, 0)), ("r", "v", (0, 0, 1))],
             "congruences are inconsistent: not divisible by linear form x2"),
+        # lambda_p = x2*(x2 + x3); at s the correction -x2^2 must be a
+        # multiple of x1*x2 on the hyperplane x3 = 0, and x1 divides it first
+        "inconsistent, two factors": (
+            3, Weight((1, 3, 9)),
+            [("a1", (0, -1, 0)), ("a2", (0, -1, -1)), ("p", (0, 0, 0)),
+             ("r", (1, -1, 0)), ("s", (1, 0, -1)), ("v", (1, 0, 0))],
+            [("a1", "p", (0, 1, 0)), ("a2", "p", (0, 1, 1)), ("p", "v", (1, 0, 0)),
+             ("r", "v", (0, 1, 0)), ("s", "v", (0, 0, 1))],
+            "congruences are inconsistent: not divisible by linear form x1"),
     }
 
     @pytest.mark.parametrize("case", sorted(BROKEN_ROWS))
@@ -170,9 +180,11 @@ class TestBrute:
 
     def test_congruence_products(self):
         """Per lower neighbour of v, the earlier edge weights at v
-        restricted to its own: None for a proportional pair, and memoised."""
-        want = {"dependent": (Poly.const(2, 1), None),
-                "inconsistent": (Poly.const(3, 1), parse_poly("x2", 3))}
+        restricted to its own (None for a proportional pair) and their
+        unrestricted product, memoised."""
+        want = {"dependent": (((), Poly.const(2, 1)), (None, parse_poly("x2", 2))),
+                "inconsistent": (((), Poly.const(3, 1)),
+                                 ((Weight((0, 1, 0)),), parse_poly("x2", 3)))}
         for case, products in want.items():
             rank, xi, verts, edges, _ = self.BROKEN_ROWS[case]
             g = GkmGraph(rank, [(v, Weight(m)) for v, m in verts],
@@ -181,6 +193,33 @@ class TestBrute:
             assert od.lower_adj["v"] == ("p", "r")
             assert od.congruence_products("v") == products
             assert od.congruence_products("v") is od.congruence_products("v")
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "C3", "CP2xCP3"])
+    def test_no_general_division(self, name, monkeypatch):
+        """The solver divides by each restricted form through div_weight:
+        a brute table calls neither div_exact nor _div_general."""
+        from conftest import product_of_projective_spaces
+        from gkmrest.gkm import choose_generic_xi
+        from gkmrest.orbits import Orbit, OrbitSpec
+        if name == "CP2xCP3":
+            g = product_of_projective_spaces(2, 3)
+            target = OrientedGraphData(g, choose_generic_xi(g))
+        else:
+            target = Orbit(OrbitSpec(name[0], int(name[1])))
+        calls = []
+        for attr in ("div_exact", "_div_general"):
+            def counted(self, d, _attr=attr, _original=getattr(Poly, attr)):
+                calls.append(_attr)
+                return _original(self, d)
+            monkeypatch.setattr(Poly, attr, counted)
+        entries = engine_entries(target, "brute")
+        assert calls == []
+        # the counters see a division by a product of two forms
+        x1x2 = parse_poly("x1*x2", 2)
+        assert (x1x2 * x1x2).div_exact(x1x2) == x1x2
+        assert calls == ["div_exact", "_div_general"]
+        ids = oriented_graph(target).graph.ids
+        assert len(entries) == len(ids) ** 2
 
 
 class TestVertexClassSum:

@@ -5,7 +5,10 @@ fault there.  These tests check each operation on random polynomials (up to
 four variables and degree four, with integer, negative and half-integer
 coefficients; a dividend of a division by a form also reaches degree eight
 in the form's pivot variable) and random linear forms (one, two, or three
-or more nonzero coordinates) against sympy's own arithmetic."""
+or more nonzero coordinates) against sympy's own arithmetic.  The two
+shortcuts of the brute solver are checked against the operations they
+replace: the restriction of f - g taken without building it, and a
+division by a product of forms taken one form at a time."""
 
 from fractions import Fraction
 from math import gcd
@@ -195,6 +198,50 @@ def test_restrict_zero(support, data):
     assert got.terms == sym_terms(sym(p).subs(x, image), n)
     assert all(e[piv] == 0 for e in got.terms)
     assert p.divisible_by_weight(w) == divides(form, sym(p), n)
+
+
+@pytest.mark.parametrize("support", SUPPORTS)
+@SETTINGS
+@given(data=st.data())
+def test_restrict_zero_minus(support, data):
+    """The restriction of f - g, made without building f - g.  g is drawn
+    apart from f, equal to it, or f plus a few terms, so that the two
+    cancel in part or in whole."""
+    n, f, w = data.draw(poly_and_form(support))
+    extra = data.draw(polys(n, 3))
+    g = data.draw(st.sampled_from((extra, f, f + extra, Poly.zero(n))))
+    got = f.restrict_zero(w, minus=g)
+    assert got.terms == (f - g).restrict_zero(w).terms
+    assert f.restrict_zero(w, minus=Poly.zero(n)).terms == f.restrict_zero(w).terms
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    polys(n, 3), st.lists(forms(n), min_size=1, max_size=3), st.booleans())))
+def test_division_form_by_form(args):
+    """Dividing by up to three forms one at a time through div_weight
+    equals div_exact by their product, or both raise NotDivisible; half of
+    the dividends are multiples of the product."""
+    p, ws, multiple = args
+    n = p.n
+    d = Poly.from_weight_product(n, ws)
+    if multiple:
+        p = p * d
+    try:
+        want = p.div_exact(d)
+    except NotDivisible:
+        want = None
+    try:
+        got = p
+        for w in ws:
+            got = got.div_weight(w)
+    except NotDivisible:
+        got = None
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.terms == want.terms
+        assert integral_coefficients_are_ints(got)
+    assert (want is not None) == divides(sym(d), sym(p), n)
 
 
 @SETTINGS

@@ -118,6 +118,18 @@ class TestTowerRestriction:
         with pytest.raises(WeightNotPreserved):
             check_weight_preserving(a2.od, bad, tower_h_function(a2.od, bad))
 
+    @pytest.mark.parametrize("factor", [-1, 0])
+    def test_weight_reversed_or_collapsed(self, a2, factor):
+        """Level-one differences that are proportional to the edge weights
+        but not by a positive multiple."""
+        tw = a2.tower()
+        lvl1 = tw.levels[0]
+        mom = {v: factor * m for v, m in lvl1.moment.items()}
+        bad = TowerSpec([TowerLevel(projection=lvl1.projection, moment=mom)]
+                        + tw.levels[1:])
+        with pytest.raises(WeightNotPreserved):
+            tower_restriction(a2.od, bad, *a2.od.graph.ids[:2])
+
     def test_class_order_does_not_change_values(self, a2, b2):
         """Any ordering of classes satisfying the vanishing hypothesis
         filters to a possibly different path set with the same sum."""

@@ -482,7 +482,7 @@ class TestIntegerColumns:
     on the B3 and C3 path tables it constructs no Fraction, and it divides
     once per (vertex, level) of each column; on A3 and on products of
     projective spaces, whose level classes are not integral, its columns
-    construct none either."""
+    construct none either, nor does the tower filter's weight check."""
 
     @pytest.mark.parametrize("name,engine", [
         ("B3", "ordered"), ("B3", "tower"), ("C3", "ordered"), ("C3", "tower"), ("C3", "typed"),
@@ -494,6 +494,20 @@ class TestIntegerColumns:
         assert len(entries) == len(orbit.elements) ** 2
         # one division per (vertex, level) over the 48 columns
         assert counts == {"Fraction": 0, "div_weight": 799}
+
+    @pytest.mark.parametrize("ctype", ["A", "C"])
+    def test_tower_filter_makes_no_fraction(self, ctype, monkeypatch):
+        """The weight check compares the integral level coordinates of the
+        filter with the edge weights, so validating the tower of the
+        default A3 orbit (half-integral levels) or C3 (long roots 2e_i)
+        constructs no Fraction."""
+        orbit = Orbit(OrbitSpec(ctype, 3))
+        od, tower = orbit.od, orbit.tower()
+        filt, counts = counting_fractions_and_divisions(
+            monkeypatch, lambda: tower_filter(od, tower))
+        assert counts == {"Fraction": 0, "div_weight": 0}
+        scales = [filt.level(j)[0] for j in (1, 2, 3)]
+        assert scales == ([3, 2, 1] if ctype == "A" else [1, 1, 1])
 
     @pytest.mark.parametrize("name,engine,divisions", [
         ("A3", "ordered", 189), ("A3", "tower", 189), ("A3", "typed", 189),

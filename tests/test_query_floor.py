@@ -1,8 +1,10 @@
 """The fixed cost of a cold query: one argument parser per process, the
 orbit graph built through itemgetter images, phi kept as exact ints where
-integral, and the unit-pivot path of linear-form division.  Each part is
-checked against an independent reference: a fresh process, the index-table
-walk the orbit graph was built by before, and phi as Fractions."""
+integral, the unit-pivot path of linear-form division, and the downward
+product of a typed A/C entry read off the group.  Each part is checked
+against an independent reference: a fresh process, the index-table walk
+the orbit graph was built by before, phi as Fractions, and the downward
+product of the orbit graph."""
 
 import json
 import os
@@ -17,7 +19,8 @@ import pytest
 from gkmrest import cli
 from gkmrest.exact import Poly, Weight, format_scalar, pair
 from gkmrest.gkm import GkmGraph, OrientedGraphData, choose_generic_xi
-from gkmrest.orbits import Orbit, OrbitSpec, build_orbit_gkm
+from gkmrest.canonical import single_form_column
+from gkmrest.orbits import Orbit, OrbitSpec, build_orbit_gkm, typed_restriction
 
 from conftest import product_of_projective_spaces
 
@@ -222,6 +225,32 @@ def test_phi_on_a_graph_with_fractional_moments():
     assert any(type(x) is Fraction for x in od.phi.values())
     for v, x in od.phi.items():
         assert (type(x) is int) == (phi[v].denominator == 1)
+
+
+# -- the downward product of a typed A/C entry -----------------------------------
+
+@pytest.mark.parametrize("ctype,rank,mu", [
+    ("A", 2, None), ("A", 3, None), ("A", 4, None), ("C", 2, None), ("C", 3, None),
+    ("C", 4, None), ("A", 4, "-5/3,-1,-1/3,1/3,4/3"), ("C", 3, "-5/3,-1,-1/3"),
+])
+def test_downward_product_read_off_the_group(ctype, rank, mu):
+    spec = OrbitSpec(ctype, rank) if mu is None else OrbitSpec(ctype, rank, mu=mu.split(","))
+    orbit = Orbit(spec)
+    got = {v: orbit.lambda_minus_linfrac(v) for v in orbit.word_of_vid}
+    assert "od" not in vars(orbit)
+    od = orbit.od
+    assert got == {v: od.lambda_minus_linfrac(v) for v in od.graph.ids}
+
+
+@pytest.mark.parametrize("ctype", ["A", "C"])
+def test_typed_AC_entry_builds_no_orbit_graph(ctype):
+    orbit = Orbit(OrbitSpec(ctype, 3))
+    ids = sorted(orbit.word_of_vid, key=lambda v: (orbit.length[orbit.word_of_vid[v]], v))
+    pairs = [(ids[i], ids[j]) for i, j in ((0, -1), (1, -1), (2, 15), (4, 20), (7, 7), (-1, 0))]
+    values = [typed_restriction(orbit, p, q)[0] for p, q in pairs]
+    assert "od" not in vars(orbit)
+    od = orbit.od
+    assert values == [single_form_column(od, q)[p] for p, q in pairs]
 
 
 # -- division by a form with a unit pivot ---------------------------------------
