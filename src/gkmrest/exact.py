@@ -627,17 +627,23 @@ def _substituted(items: Iterable, images: Sequence[Weight], n_out: int) -> Poly:
 # Fractions of products of linear forms
 # ---------------------------------------------------------------------------
 
-def _merge_sorted(a: tuple, b: tuple) -> tuple:
-    return tuple(sorted(a + b))
-
-
 def _cancel(num: tuple, den: tuple) -> tuple[tuple, tuple]:
-    if not num or not den:
+    """The multiset differences num - den and den - num of two sorted
+    tuples, by one merge; they come back sorted."""
+    if not num or not den or num[-1] < den[0] or den[-1] < num[0]:
         return num, den
-    cn, cd = Counter(num), Counter(den)
-    if not cn & cd:
-        return num, den
-    return tuple(sorted((cn - cd).elements())), tuple(sorted((cd - cn).elements()))
+    keep_num, keep_den, i, j = [], [], 0, 0
+    while i < len(num) and j < len(den):
+        a, b = num[i], den[j]
+        if a < b:
+            keep_num.append(a)
+            i += 1
+        elif b < a:
+            keep_den.append(b)
+            j += 1
+        else:
+            i, j = i + 1, j + 1
+    return tuple(keep_num) + num[i:], tuple(keep_den) + den[j:]
 
 
 class LinFrac:
@@ -686,8 +692,7 @@ class LinFrac:
         if self.scalar == 0 or other.scalar == 0:
             return LinFrac(self.n, 0)
         return LinFrac(self.n, self.scalar * other.scalar,
-                       _merge_sorted(self.num, other.num),
-                       _merge_sorted(self.den, other.den))
+                       self.num + other.num, self.den + other.den)
 
     def mul_scalar(self, c) -> "LinFrac":
         c = _as_exact(c)
@@ -696,12 +701,12 @@ class LinFrac:
     def mul_weight(self, w: Weight) -> "LinFrac":
         prim, scale = w.primitive()
         return LinFrac(self.n, self.scalar * scale,
-                       _merge_sorted(self.num, (prim,)), self.den)
+                       self.num + (prim,), self.den)
 
     def div_weight(self, w: Weight) -> "LinFrac":
         prim, scale = w.primitive()
         return LinFrac(self.n, _div_scalar(self.scalar, scale), self.num,
-                       _merge_sorted(self.den, (prim,)))
+                       self.den + (prim,))
 
     def to_poly(self) -> Poly:
         if self.den:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from operator import sub
 from typing import Mapping, Sequence
 
@@ -20,7 +21,7 @@ from .errors import (
     NotHorizontal,
     WeightNotPreserved,
 )
-from .exact import LinFrac, Poly, Weight, linfrac_sum_to_poly
+from .exact import LinFrac, Poly, Weight, _div_scalar, linfrac_sum_to_poly
 from .canonical import PathFilter, PathTerm, _require_index_increasing, filtered_path_sum
 from .gkm import OrientedGraphData, magnitude, walk_paths
 
@@ -141,17 +142,43 @@ def tower_restriction(od: OrientedGraphData, tower: TowerSpec, p: str, q: str,
 # ---------------------------------------------------------------------------
 
 class FibrationSpec:
-    """One projection onto an oriented base graph."""
+    """One projection onto an oriented base graph, with each fiber's vertex
+    set and the memoised base pieces of defining_base_term."""
 
     def __init__(self, base: OrientedGraphData, vertex_map: Mapping[str, str]):
         self.base = base
         self.vertex_map = dict(vertex_map)
+        self.fibers: dict[str, set[str]] = {}
         for v, b in self.vertex_map.items():
             if b not in base.graph.moment:
                 raise GraphFormatError(f"vertex {v} projects to unknown base vertex {b}")
+            self.fibers.setdefault(b, set()).add(v)
+        self._lambda_minus: dict[str, tuple[tuple, int | Fraction]] = {}
+        self._steps: dict[tuple[str, str, str], tuple] = {}
 
     def fiber_over(self, b: str, ids) -> list[str]:
         return [v for v in ids if self.vertex_map[v] == b]
+
+    def lambda_minus_split(self, bs: str) -> tuple[tuple, int | Fraction]:
+        """The primitive forms of the downward product at bs, and their scale."""
+        got = self._lambda_minus.get(bs)
+        if got is None:
+            splits = [w.primitive() for w in self.base.neg[bs]]
+            got = self._lambda_minus[bs] = (tuple(f for f, _ in splits), prod(c for _, c in splits))
+        return got
+
+    def step_splits(self, ba: str, bb: str, bs: str) -> tuple:
+        """The primitive splits of m(bb) - m(ba) and m(bs) - m(ba), m the base moment."""
+        key = (ba, bb, bs)
+        got = self._steps.get(key)
+        if got is None:
+            moment = self.base.graph.moment
+            den = moment[bs] - moment[ba]
+            if den.is_zero():
+                raise GraphFormatError(
+                    f"base moments of {ba} and {bs} coincide on a horizontal path")
+            got = self._steps[key] = ((moment[bb] - moment[ba]).primitive(), den.primitive())
+        return got
 
 
 def skipped_vertices(base_od: OrientedGraphData, base_path: Sequence[str]) -> set[str]:
@@ -195,26 +222,24 @@ def defining_base_term(od: OrientedGraphData, fib: FibrationSpec,
                        path: Sequence[str], s: str) -> LinFrac:
     """Base-path contribution in its defining form: the downward product at
     the base image of s, times for each step the ratio of base moment
-    differences, times the edge label theta/weight (the thetas are
-    multiplied in once, at the end)."""
+    differences, times the edge label theta/weight.  Every piece is a
+    memoised primitive split (FibrationSpec.lambda_minus_split and
+    step_splits, OrientedGraphData.weight_split), so the term is one
+    LinFrac, and its scalar one division."""
     if not is_horizontal(fib, path):
         raise NotHorizontal(f"path {tuple(path)} has a vertical step")
-    base = fib.base
-    bs = fib.vertex_map[s]
-    value = base.lambda_minus_linfrac(bs)
-    ms = base.graph.moment[bs]
-    theta = 1
+    vm = fib.vertex_map
+    bs = vm[s]
+    forms, top = fib.lambda_minus_split(bs)
+    num, den, bottom = list(forms), [], 1
     for a, b in zip(path, path[1:]):
-        ba, bb = fib.vertex_map[a], fib.vertex_map[b]
-        num = base.graph.moment[bb] - base.graph.moment[ba]
-        den = ms - base.graph.moment[ba]
-        if den.is_zero():
-            raise GraphFormatError(
-                f"base moments of {ba} and {bs} coincide on a horizontal path")
-        value = value.mul_weight(num).div_weight(den).div_weight(
-            od.graph.edge_weight(a, b))
-        theta *= od.theta(a, b)
-    return value.mul_scalar(theta)
+        (f, c), (g, d) = fib.step_splits(vm[a], vm[b], bs)
+        e, w = od.weight_split(a, b)
+        num.append(f)
+        den += (g, e)
+        top *= c * od.theta(a, b)
+        bottom *= d * w
+    return LinFrac(fib.base.rank, _div_scalar(top, bottom), num, den)
 
 
 def explicit_P(od: OrientedGraphData, fib: FibrationSpec,

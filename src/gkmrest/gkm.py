@@ -224,9 +224,9 @@ class OrientedGraphData:
     """A graph together with a certified direction vector and the derived
     Morse data: phi values, indices and downward weight multisets, built
     eagerly.  The downward products, edge scalars and the projected forms
-    they are made of, gz coefficients, the index-increasing flag, canonical
-    reachability, the lower neighbours and the congruence products are
-    memoised on first use.
+    they are made of, gz coefficients, the primitive splits of the edge
+    weights, the index-increasing flag, canonical reachability, the lower
+    neighbours and the congruence products are memoised on first use.
     """
 
     def __init__(self, graph: GkmGraph, xi: Weight):
@@ -270,6 +270,7 @@ class OrientedGraphData:
         self._projections: dict[tuple[tuple, tuple], tuple | None] = {}
         self._gz_coefficients: dict[tuple[str, str], int | Fraction] = {}
         self._congruence_products: dict[str, tuple] = {}
+        self._weight_splits: dict[tuple[str, str], tuple[tuple[int, ...], int | Fraction]] = {}
 
     @property
     def rank(self) -> int:
@@ -351,6 +352,13 @@ class OrientedGraphData:
             scale *= split[1]
         forms.sort()
         return forms, scale
+
+    def weight_split(self, a: str, b: str) -> tuple[tuple[int, ...], int | Fraction]:
+        """The primitive split of the weight of the edge (a, b), memoised."""
+        got = self._weight_splits.get((a, b))
+        if got is None:
+            got = self._weight_splits[(a, b)] = self.graph.weights[(a, b)].primitive()
+        return got
 
     def gz_coefficient(self, v: str, r: str) -> int | Fraction:
         """magnitude(v, r) * theta(v, r): the weight of the value at r in

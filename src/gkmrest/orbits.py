@@ -792,8 +792,8 @@ def relevant_path_terms(orbit: Orbit, p_vid: str, b_vid: str
     """(endpoint, classification, corrected contribution) for every
     relevant horizontal path from p into the fiber over b."""
     od, fib = orbit.od, orbit.base_fibration()
-    fiber = set(fib.fiber_over(b_vid, od.graph.ids))
     out = []
+    fiber = fib.fibers.get(b_vid, set())
     for s_vid, paths in sorted(horizontal_paths(od, fib, p_vid, fiber).items()):
         for path in paths:
             cls = classify_base_path(orbit, tuple(fib.vertex_map[v] for v in path))
@@ -814,12 +814,14 @@ def paired_term(orbit: Orbit, cls: PathClassification, base_term: LinFrac) -> Li
     m = orbit.rs.ambient
     base = orbit.base_od()
     end_axis, end_sign = _signed_axis(base.graph.moment[cls.base_path[-1]])
-    axis_w = [0] * m
-    axis_w[end_axis - 1] = 2 * end_sign
-    other = [0] * m
-    other[end_axis - 1] = end_sign
-    other[cls.k] = 1
-    return base_term.mul_weight(Weight(axis_w)).div_weight(Weight(other))
+    # 2 sign e_end / (sign e_end + e_(k+1)) = 2 e_end / (e_end + sign
+    # e_(k+1)); the end axis is at most k, so both forms are primitive
+    axis = [0] * m
+    axis[end_axis - 1] = 1
+    other = axis.copy()
+    other[cls.k] = end_sign
+    return LinFrac(m, 2 * base_term.scalar, base_term.num + (tuple(axis),),
+                   base_term.den + (tuple(other),))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ text form of a polynomial), independently of the engines."""
 from fractions import Fraction
 from typing import Sequence
 
-from gkmrest.errors import GraphFormatError
-from gkmrest.exact import Poly, Weight, _as_exact, pair
+from gkmrest.errors import GraphFormatError, NotHorizontal
+from gkmrest.exact import LinFrac, Poly, Weight, _as_exact, pair
+from gkmrest.fibration import is_horizontal
 from gkmrest.orbits import Orbit, RootSystem, SignedPerm, _format_point, weyl_length
 
 
@@ -132,3 +133,28 @@ def reflection_word_endpoint(orbit: Orbit, start, base_path: Sequence[str]) -> s
         w = orbit.rs.reflection_perm(root) * w
     pt = w.act(orbit.od.graph.moment[orbit.vertex(start)])
     return _format_point(pt.coords)
+
+
+def defining_base_term(od, fib, path: Sequence[str], s: str) -> LinFrac:
+    """The base-path contribution built one step at a time: the downward
+    product at the base image of s, then per step one mul_weight by the
+    base moment difference and two div_weights, by the difference to the
+    image of s and by the edge weight; the thetas are multiplied in at the
+    end."""
+    if not is_horizontal(fib, path):
+        raise NotHorizontal(f"path {tuple(path)} has a vertical step")
+    base = fib.base
+    bs = fib.vertex_map[s]
+    value = base.lambda_minus_linfrac(bs)
+    ms = base.graph.moment[bs]
+    theta = 1
+    for a, b in zip(path, path[1:]):
+        ba, bb = fib.vertex_map[a], fib.vertex_map[b]
+        den = ms - base.graph.moment[ba]
+        if den.is_zero():
+            raise GraphFormatError(
+                f"base moments of {ba} and {bs} coincide on a horizontal path")
+        value = value.mul_weight(base.graph.moment[bb] - base.graph.moment[ba]).div_weight(
+            den).div_weight(od.graph.edge_weight(a, b))
+        theta *= od.theta(a, b)
+    return value.mul_scalar(theta)

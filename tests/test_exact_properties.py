@@ -384,3 +384,53 @@ def test_linfrac_scalars_stay_exact(args):
         for w in ws:
             back = back.mul_weight(w)
         assert back == f
+
+
+# ---------------------------------------------------------------------------
+# LinFrac cancellation by a merge of sorted form tuples
+# ---------------------------------------------------------------------------
+
+from collections import Counter  # noqa: E402
+
+from gkmrest.exact import LinFrac, Weight, _cancel, format_weight  # noqa: E402
+
+_FORMS = [(1, 0), (0, 1), (1, -1), (1, 1), (1, 2), (2, -1)]
+
+
+@st.composite
+def form_lists(draw):
+    """Lists of primitive forms in two variables, repeats likely."""
+    return draw(st.lists(st.sampled_from(_FORMS), max_size=6))
+
+
+@SETTINGS
+@given(form_lists(), form_lists())
+def test_cancel_is_the_multiset_difference(num, den):
+    cn, cd = Counter(num), Counter(den)
+    assert _cancel(tuple(sorted(num)), tuple(sorted(den))) == (
+        tuple(sorted((cn - cd).elements())), tuple(sorted((cd - cn).elements())))
+
+
+@SETTINGS
+@given(form_lists(), form_lists(), st.integers(-6, 6).filter(bool), st.randoms())
+def test_linfrac_does_not_depend_on_input_order(num, den, c, rnd):
+    shuffled = []
+    for forms in (num, den):
+        forms = list(forms)
+        rnd.shuffle(forms)
+        shuffled.append(forms)
+    a = LinFrac(2, Fraction(c, 3), tuple(sorted(num)), tuple(sorted(den)))
+    b = LinFrac(2, Fraction(c, 3), *shuffled)
+    assert a == b and hash(a) == hash(b) and str(a) == str(b)
+    cn, cd = Counter(num), Counter(den)
+    assert a.num == tuple(sorted((cn - cd).elements()))
+    assert a.den == tuple(sorted((cd - cn).elements()))
+    assert hash(a) == hash((2, a.scalar, a.num, a.den))
+    w = Weight((2, -4))
+    assert (a * b) == LinFrac(2, a.scalar ** 2, shuffled[0] + num, den + shuffled[1])
+    assert a.mul_weight(w) == b.mul_weight(w) == LinFrac(2, a.scalar * 2, num + [(1, -2)], den)
+    assert a.div_weight(w) == b.div_weight(w) == LinFrac(2, Fraction(a.scalar) / 2, num, den + [(1, -2)])
+    if not a.den:
+        assert a.to_poly() == b.to_poly()
+    if a.num and a.scalar == 1:
+        assert str(a).startswith("*".join(f"({format_weight(f)})" for f in a.num))
