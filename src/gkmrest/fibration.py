@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from operator import sub
 from typing import Mapping, Sequence
 
@@ -143,7 +142,7 @@ def tower_restriction(od: OrientedGraphData, tower: TowerSpec, p: str, q: str,
 
 class FibrationSpec:
     """One projection onto an oriented base graph, with each fiber's vertex
-    set and the memoised base pieces of defining_base_term."""
+    set and the memoised base step splits of defining_base_term."""
 
     def __init__(self, base: OrientedGraphData, vertex_map: Mapping[str, str]):
         self.base = base
@@ -153,19 +152,12 @@ class FibrationSpec:
             if b not in base.graph.moment:
                 raise GraphFormatError(f"vertex {v} projects to unknown base vertex {b}")
             self.fibers.setdefault(b, set()).add(v)
-        self._lambda_minus: dict[str, tuple[tuple, int | Fraction]] = {}
         self._steps: dict[tuple[str, str, str], tuple] = {}
 
     def fiber_over(self, b: str, ids) -> list[str]:
-        return [v for v in ids if self.vertex_map[v] == b]
-
-    def lambda_minus_split(self, bs: str) -> tuple[tuple, int | Fraction]:
-        """The primitive forms of the downward product at bs, and their scale."""
-        got = self._lambda_minus.get(bs)
-        if got is None:
-            splits = [w.primitive() for w in self.base.neg[bs]]
-            got = self._lambda_minus[bs] = (tuple(f for f, _ in splits), prod(c for _, c in splits))
-        return got
+        """The vertices of ids over b, in the order of ids."""
+        fiber = self.fibers.get(b, ())
+        return [v for v in ids if v in fiber]
 
     def step_splits(self, ba: str, bb: str, bs: str) -> tuple:
         """The primitive splits of m(bb) - m(ba) and m(bs) - m(ba), m the base moment."""
@@ -223,15 +215,15 @@ def defining_base_term(od: OrientedGraphData, fib: FibrationSpec,
     """Base-path contribution in its defining form: the downward product at
     the base image of s, times for each step the ratio of base moment
     differences, times the edge label theta/weight.  Every piece is a
-    memoised primitive split (FibrationSpec.lambda_minus_split and
-    step_splits, OrientedGraphData.weight_split), so the term is one
-    LinFrac, and its scalar one division."""
+    memoised primitive split (the base's lambda_minus_linfrac,
+    FibrationSpec.step_splits, OrientedGraphData.weight_split), so the term
+    is one LinFrac, and its scalar one division."""
     if not is_horizontal(fib, path):
         raise NotHorizontal(f"path {tuple(path)} has a vertical step")
     vm = fib.vertex_map
     bs = vm[s]
-    forms, top = fib.lambda_minus_split(bs)
-    num, den, bottom = list(forms), [], 1
+    lam = fib.base.lambda_minus_linfrac(bs)
+    num, den, top, bottom = list(lam.num), [], lam.scalar, 1
     for a, b in zip(path, path[1:]):
         (f, c), (g, d) = fib.step_splits(vm[a], vm[b], bs)
         e, w = od.weight_split(a, b)

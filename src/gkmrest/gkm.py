@@ -266,6 +266,7 @@ class OrientedGraphData:
         )
         self._xi_pair = xi_pair
         self._lambda_minus: dict[str, Poly] = {}
+        self._lambda_minus_linfrac: dict[str, LinFrac] = {}
         self._theta_cache: dict[tuple[str, str], int] = {}
         self._projections: dict[tuple[tuple, tuple], tuple | None] = {}
         self._gz_coefficients: dict[tuple[str, str], int | Fraction] = {}
@@ -283,10 +284,13 @@ class OrientedGraphData:
         return got
 
     def lambda_minus_linfrac(self, p: str) -> LinFrac:
-        f = LinFrac.one(self.rank)
-        for w in self.neg[p]:
-            f = f.mul_weight(w)
-        return f
+        got = self._lambda_minus_linfrac.get(p)
+        if got is None:
+            got = LinFrac.one(self.rank)
+            for w in self.neg[p]:
+                got = got.mul_weight(w)
+            self._lambda_minus_linfrac[p] = got
+        return got
 
     def theta(self, p: str, q: str) -> int:
         """Edge scalar: the ratio of the projected downward product at p to

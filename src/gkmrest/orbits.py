@@ -618,7 +618,7 @@ class Orbit:
         free = [i for i in range(self.rs.ambient) if i != axis - 1]
         moment = self.od.graph.moment
         stripped = {v: Weight([moment[v].coords[i] for i in free])
-                    for v in sorted(fib.fiber_over(b, self.od.graph.ids))}
+                    for v in sorted(fib.fibers.get(b, ()))}
         # the child base point is the phi-minimal strip; the xi pattern on
         # the free coordinates preserves the ambient order
         child_xi = Weight([self.xi.coords[i] for i in free])

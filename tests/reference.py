@@ -9,7 +9,8 @@ from typing import Sequence
 from gkmrest.errors import GraphFormatError, NotHorizontal
 from gkmrest.exact import LinFrac, Poly, Weight, _as_exact, pair
 from gkmrest.fibration import is_horizontal
-from gkmrest.orbits import Orbit, RootSystem, SignedPerm, _format_point, weyl_length
+from gkmrest.orbits import (
+    Orbit, RootSystem, SignedPerm, _format_point, _signed_axis, weyl_length)
 
 
 def parse_poly(text: str, n: int) -> Poly:
@@ -158,3 +159,22 @@ def defining_base_term(od, fib, path: Sequence[str], s: str) -> LinFrac:
             den).div_weight(od.graph.edge_weight(a, b))
         theta *= od.theta(a, b)
     return value.mul_scalar(theta)
+
+
+def paired_term(orbit: Orbit, cls, base_term: LinFrac) -> LinFrac:
+    """The paired contribution with its factor applied as two weights: the
+    base term itself for complete paths, else times 2 sign e_end over
+    sign e_end + e_(k+1), where e_end is the signed axis of the base path's
+    endpoint and k the classification's index."""
+    if cls.complete:
+        return base_term
+    if not cls.relevant:
+        raise GraphFormatError("paired contribution of a non-relevant path")
+    m = orbit.rs.ambient
+    end_axis, end_sign = _signed_axis(orbit.base_od().graph.moment[cls.base_path[-1]])
+    axis_w = [0] * m
+    axis_w[end_axis - 1] = 2 * end_sign
+    other = [0] * m
+    other[end_axis - 1] = end_sign
+    other[cls.k] = 1
+    return base_term.mul_weight(Weight(axis_w)).div_weight(Weight(other))

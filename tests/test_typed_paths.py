@@ -1,4 +1,5 @@
-"""The typed B/D path terms against their step-by-step definition, the
+"""The typed B/D path terms against their step-by-step definition (the
+reference's defining_base_term and paired_term, weight by weight), the
 LinFrac constructions of a typed table, and the paper's path counts."""
 
 import pytest
@@ -8,9 +9,9 @@ from gkmrest.canonical import filtered_path_sum, ordered_filter, restriction_ver
 from gkmrest.exact import LinFrac
 from gkmrest.fibration import tower_filter
 from gkmrest.oracle import _ordered_classes
-from gkmrest.orbits import Orbit, OrbitSpec, paired_term, relevant_path_terms, typed_table
+from gkmrest.orbits import Orbit, OrbitSpec, relevant_path_terms, typed_table
 
-from reference import defining_base_term, lift_path
+from reference import defining_base_term, lift_path, paired_term
 
 POINTS = [("B", 2, None), ("B", 3, None), ("D", 4, None),
           ("B", 3, "-7/2,-3,-1/2"), ("D", 4, "-7/2,-5/2,-3/2,-1/2")]
