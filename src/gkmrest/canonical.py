@@ -15,11 +15,13 @@ values alpha_p(q) by several independent routes:
     depth-first walk gkm.walk_paths, and give a single entry with its
     ledger of path terms;
   * the same filtered path sum for a whole column as one backward dynamic
-    program over (vertex, level) suffix sums kept as integral polynomials
-    over one denominator each, with one exact division per vertex and
-    level (filtered_path_column), which builds the ordered and tower
-    tables and the typed A/C columns, and hands the whole column to the
-    walker at the first sum that is not a polynomial;
+    program with one suffix sum per vertex, kept as an integral polynomial
+    over one denominator, and one exact division per vertex
+    (filtered_path_column).  One sum is enough because every
+    level-monotone path from p to q starts at the first level that
+    separates p from q.  It builds the ordered and tower tables and the
+    typed A/C columns, and hands the whole column to the walker at the
+    first sum that is not a polynomial;
   * a solver that knows nothing about path formulas and only imposes the
     defining vanishing conditions together with the edge-divisibility
     congruences of localization (brute_row).
@@ -34,9 +36,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import add, itemgetter
-from typing import Callable, Collection, Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 from .errors import (
     GraphFormatError,
@@ -267,11 +269,12 @@ def restriction_vertex_classes(
 
 
 def build_h_function(
-    od: OrientedGraphData, classes: Sequence[Mapping[str, Weight]],
+    od: OrientedGraphData, classes: Sequence[Mapping[str, object]],
 ) -> dict[tuple[str, str], int]:
     """First level separating the endpoints of each canonical edge
-    (1-based).  Raises NoSeparatingClass when some edge is separated by no
-    class."""
+    (1-based): the first class, a mapping from vertex to value (a weight,
+    or a tower level's projection), whose values at the two ends differ.
+    Raises NoSeparatingClass when some edge is separated by no class."""
     h: dict[tuple[str, str], int] = {}
     for a in od.graph.ids:
         for b in od.up[a]:
@@ -298,34 +301,37 @@ def _edge_scalars(filt: PathFilter, a: str, b: str) -> tuple:
 @dataclass
 class PathFilter:
     """A filtered path sum's levels: h_edge of each canonical edge, and
-    w_level(j, v), the level-j class at v.
+    the class list, classes[j - 1] the level-j class w_j as a mapping from
+    vertex to weight.
 
     The filter keeps each level's class in integers, built on first use of
     the level, once per table: one positive scale D_j, the lcm of the
     coordinates' denominators, and the integral coordinates of D_j *
-    w_level(j, v) at every vertex.  level_split(j, v, u), the primitive
+    w_j(v) at every vertex.  level_split(j, v, u), the primitive
     split of w_j(u) - w_j(v), is read off them without a Fraction and kept
     per (level, value at v, value at u).  The scalars of an edge's factor
     (_edge_scalars) do not depend on the target: edge(a, b) builds them on
     first use and keeps them, once per edge in a table (per edge and
     worker when forked).  factor(a, b), theta/weight * (w_h(b) - w_h(a))
-    as the walker multiplies it, is made from them.  Theta is only asked
-    of an edge a sum crosses, so the walker's errors and their order
-    stay."""
+    as the walker multiplies it, is made from them; it is zero when w_h
+    does not move along the edge, which only a hand-built filter allows.
+    Theta is only asked of an edge a sum crosses, so the walker's errors
+    and their order stay."""
 
     od: OrientedGraphData
     h_edge: Mapping[tuple[str, str], int]
-    w_level: Callable[[int, str], Weight]
+    classes: Sequence[Mapping[str, Weight]]
     _levels: dict = field(default_factory=dict, repr=False)
     _splits: dict = field(default_factory=dict, repr=False)
     _edges: dict = field(default_factory=dict, repr=False)
     _factors: dict = field(default_factory=dict, repr=False)
 
     def level(self, j: int) -> tuple[int, dict[str, tuple[int, ...]]]:
-        """(D_j, vertex -> integral coordinates of D_j * w_level(j, v))."""
+        """(D_j, vertex -> integral coordinates of D_j * w_j(v))."""
         got = self._levels.get(j)
         if got is None:
-            values = {v: self.w_level(j, v).coords for v in self.od.graph.ids}
+            w = self.classes[j - 1]
+            values = {v: w[v].coords for v in self.od.graph.ids}
             scale = lcm(*[c.denominator for coords in values.values() for c in coords])
             got = self._levels[j] = scale, {
                 v: tuple(c.numerator * (scale // c.denominator) for c in coords)
@@ -362,9 +368,12 @@ class PathFilter:
         got = self._factors.get((a, b))
         if got is None:
             theta, eta, diff = self.edge(a, b)
-            num, den = _part_ratio(theta, diff, eta, 1, 1)
-            got = self._factors[(a, b)] = LinFrac(
-                self.od.rank, _div_scalar(num, den), (diff[0],), (eta[0],))
+            if diff is None:
+                got = LinFrac(self.od.rank, 0)
+            else:
+                num, den = _part_ratio(theta, diff, eta, 1, 1)
+                got = LinFrac(self.od.rank, _div_scalar(num, den), (diff[0],), (eta[0],))
+            self._factors[(a, b)] = got
         return got
 
 
@@ -401,7 +410,8 @@ def filtered_path_sum(
             j = filt.h_edge[(v, u)]
             if j < last:
                 continue
-            den = filt.w_level(j, q) - filt.w_level(j, v)
+            w = filt.classes[j - 1]
+            den = w[q] - w[v]
             if acc is None or den.is_zero():
                 out.append((u, (None, levels + (j,))))
                 continue
@@ -435,140 +445,104 @@ def _over_one_denominator(poly: Poly) -> tuple[dict, int]:
     return {e: int(c * den) for e, c in poly.terms.items()}, den
 
 
-def _add_over(acc: tuple[dict, int], terms: dict, den: int) -> tuple[dict, int]:
-    """acc + terms / den for integral terms, acc a pair (terms,
-    denominator) as _over_one_denominator gives, over the lcm of the two
-    denominators, with the content divided out."""
-    acc_terms, acc_den = acc
-    if acc_terms:
-        m = lcm(acc_den, den)
-        ka, kb = m // acc_den, m // den
-        out = {e: c * ka for e, c in acc_terms.items()}
-        for e, c in terms.items():
-            t = out.get(e, 0) + c * kb
-            if t:
-                out[e] = t
-            else:
-                del out[e]
-    else:
-        out, m = terms, den
-    if m != 1:
-        g = gcd(m, *out.values())
+def _lowest_terms(terms: dict, den: int) -> tuple[dict, int]:
+    """(terms, den), integral terms over den, with their content divided out."""
+    if den != 1:
+        g = gcd(den, *terms.values())
         if g != 1:
-            out = {e: c // g for e, c in out.items()}
-            m //= g
-    return out, m
+            terms = {e: c // g for e, c in terms.items()}
+            den //= g
+    return terms, den
 
 
 def filtered_path_column(od: OrientedGraphData, filt: PathFilter, q: str) -> dict[str, Poly]:
     """filtered_path_sum from every vertex to q, keyed by p in graph order,
     as one backward dynamic program instead of one walk per pair.
 
-    S(v, l) is lambda_minus(q) times the sum, over the paths v -> q with
-    nondecreasing edge levels all at least l, of the products of their
-    edge factors; alpha_p(q) = S(p, 0).  An edge (v, u) of level j adds its
-    factor over w_j(q) - w_j(v) times S(u, j).  Canonical edges ascend in
-    phi, so going down od.order every S(u, .) is known before v needs it.
-    S(v, .) only changes at the levels of v's edges, so each vertex keeps
-    one cumulative sum per such level.
+    S(v) is lambda_minus(q) times the sum, over the paths v -> q with
+    nondecreasing edge levels, of the products of their edge factors;
+    alpha_p(q) = S(p).  Every such path starts at the first level j that
+    separates v from q: the classes below an edge's level agree at its
+    ends, so along the path they agree at v and q.  So v keeps one pair
+    (j, S(v)), and an edge (v, u) of level j adds its factor over w_j(q) -
+    w_j(v) times S(u) when j is at most u's level; above it u has no sum.
+    Canonical edges ascend in phi, so going down od.order every S(u) is
+    known before v needs it.  An edge along which w_j does not move has
+    the factor zero and adds nothing.
 
     The sums are polynomials kept in integers: each is a dict of integral
-    coefficients over one positive denominator, its content reduced.  The
-    edges of one level j at v share the denominator w_j(q) - w_j(v) =
-    scale * form, with form primitive: each adds S(u, j) times its
-    factor's scalar (PathFilter.edge) over scale, over the lcm of their
-    denominators, and the integral total is divided once, exactly, by
-    form.  An integral polynomial that a primitive integral form divides
-    has an integral quotient (Gauss's lemma), so the division makes no
-    Fraction.  Only the column's entries are divided by their
-    denominators.  A vertex with no monotone path to q has no sum, so an
-    edge into it never counts, as in the walker.
+    coefficients over one positive denominator, its content reduced.  With
+    w_j(q) - w_j(v) = scale * form, form primitive, each edge at v adds
+    S(u) times its factor's scalar (PathFilter.edge) over scale, over the
+    lcm of their denominators, and the integral total is divided once,
+    exactly, by form.  An integral polynomial that a primitive integral
+    form divides has an integral quotient (Gauss's lemma), so the division
+    makes no Fraction.  Only the column's entries are divided by their
+    denominators.
 
     The program stops at the first sum it cannot keep as a polynomial: a
-    vanishing denominator on a monotone path to q, a factor with a form in
-    its denominator, or a level total that its form does not divide.  The
-    column is then filtered_path_sum from every p in graph order, which
-    gives the walker's values, or raises its first error."""
+    vanishing denominator on a monotone path to q, paths from one vertex
+    that start at two levels (only a hand-built filter allows either), a
+    factor with a form in its denominator, or a total that its form does
+    not divide.  The column is then filtered_path_sum from every p in
+    graph order, which gives the walker's values, or raises its first
+    error."""
     _require_index_increasing(od)
     n = od.rank
-    zero = Poly.zero(n)
     reach = od.reachable
-    top = _over_one_denominator(od.lambda_minus(q))
-    # v -> [(level, S(v, level))] ascending, one per level of v's edges;
-    # S(v, l) is the first entry whose level is at least l
-    sums: dict[str, list] = {}
-
-    def suffix(u: str, j: int):
-        if u == q:
-            return top
-        for level, s in sums[u]:
-            if level >= j:
-                return s
-        return None
-
+    # v -> (level, S(v)) for each v with a monotone path to q
+    sums: dict[str, tuple] = {q: (inf, _over_one_denominator(od.lambda_minus(q)))}
     try:
         for v in reversed(od.order):
             if v == q or q not in reach[v]:
                 continue
-            # level -> (form, scale numerator, scale denominator,
-            # [(numerator, denominator, terms)]), one part per edge whose
-            # suffix sum is nonzero
-            groups: dict[int, tuple] = {}
+            level = None
+            # (numerator, denominator, terms), one per edge whose factor
+            # and suffix sum are nonzero
+            parts = []
             for u in od.up[v]:
-                if q not in reach[u]:
+                got = sums.get(u)
+                if got is None or (j := filt.h_edge[(v, u)]) > got[0]:
                     continue
-                j = filt.h_edge[(v, u)]
-                s = suffix(u, j)
-                if s is None:
-                    continue
-                group = groups.get(j)
-                if group is None:
-                    split = filt.level_split(j, v, q)
-                    if split is None:
-                        raise _NotPolynomial
-                    group = groups[j] = (Weight.of_exact(split[0]), split[1], split[2], [])
-                terms, den = s
+                if level is None:
+                    level, split = j, filt.level_split(j, v, q)
+                if split is None or j != level:
+                    raise _NotPolynomial
+                terms, den = got[1]
                 if terms:
                     theta, eta, diff = filt.edge(v, u)
+                    if diff is None:
+                        continue
                     if diff[0] != eta[0]:
                         raise _NotPolynomial
-                    num, d = _part_ratio(theta, diff, eta, group[1], group[2])
-                    group[3].append((num, d * den, terms))
-            cumulative = []
-            acc: tuple[dict, int] = ({}, 1)
-            for j in sorted(groups, reverse=True):
-                form, _, _, parts = groups[j]
-                if len(parts) == 1:  # one sum times a scalar: no term cancels
-                    k, den, terms = parts[0]
-                    total = Poly(n, terms if k == 1 else {e: k * a for e, a in terms.items()},
-                                 _clean=True)
-                else:
-                    den = lcm(*[d for _, d, _ in parts])
-                    terms = {}
-                    for num, d, part in parts:
-                        k = num * (den // d)
-                        for e, a in part.items():
-                            terms[e] = terms.get(e, 0) + k * a
-                    total = Poly(n, terms)  # drops the terms that cancelled
-                try:
-                    quot = total.div_weight(form)
-                except NotDivisible:
-                    raise _NotPolynomial from None
-                acc = _add_over(acc, quot.terms, den)
-                cumulative.append((j, acc))
-            sums[v] = cumulative[::-1]
+                    num, d = _part_ratio(theta, diff, eta, split[1], split[2])
+                    parts.append((num, d * den, terms))
+            if level is None:
+                continue
+            if len(parts) == 1:  # one sum times a scalar: no term cancels
+                k, den, terms = parts[0]
+                total = Poly(n, terms if k == 1 else {e: k * a for e, a in terms.items()},
+                             _clean=True)
+            else:
+                den = lcm(*[d for _, d, _ in parts])
+                terms = {}
+                for num, d, part in parts:
+                    k = num * (den // d)
+                    for e, a in part.items():
+                        terms[e] = terms.get(e, 0) + k * a
+                total = Poly(n, terms)  # drops the terms that cancelled
+            try:
+                quot = total.div_weight(Weight.of_exact(split[0]))
+            except NotDivisible:
+                raise _NotPolynomial from None
+            sums[v] = level, _lowest_terms(quot.terms, den)
     except _NotPolynomial:
         return {p: filtered_path_sum(od, p, q, filt)[0] for p in od.graph.ids}
 
-    col: dict[str, Poly] = {}
-    for p in od.graph.ids:
-        s = suffix(p, 0) if q in reach[p] else None
-        if s is None:
-            col[p] = zero
-        else:
-            terms, den = s
-            col[p] = Poly(n, terms if den == 1 else
-                          {e: _div_scalar(c, den) for e, c in terms.items()}, _clean=True)
+    col = dict.fromkeys(od.graph.ids, Poly.zero(n))
+    for p, (_, (terms, den)) in sums.items():
+        col[p] = Poly(n, terms if den == 1 else
+                      {e: _div_scalar(c, den) for e, c in terms.items()}, _clean=True)
     return col
 
 
@@ -577,7 +551,7 @@ def ordered_filter(od: OrientedGraphData,
     """The filter of an ordered class list, as filtered_path_sum and
     filtered_path_column take it; raises NoSeparatingClass when some
     canonical edge is separated by no class."""
-    return PathFilter(od, build_h_function(od, classes), lambda j, v: classes[j - 1][v])
+    return PathFilter(od, build_h_function(od, classes), classes)
 
 
 def restriction_ordered(

@@ -37,10 +37,6 @@ class NoSeparatingClass(GkmError):
     """Some canonical edge is separated by none of the supplied classes."""
 
 
-class NoSeparatingLevel(GkmError):
-    """Some canonical edge is not separated by any tower level."""
-
-
 class WeightNotPreserved(GkmError):
     """A tower level fails the weight-preservation check on an edge."""
 

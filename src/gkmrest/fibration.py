@@ -16,12 +16,12 @@ from typing import Mapping, Sequence
 
 from .errors import (
     GraphFormatError,
-    NoSeparatingLevel,
     NotHorizontal,
     WeightNotPreserved,
 )
 from .exact import LinFrac, Poly, Weight, _div_scalar, linfrac_sum_to_poly
-from .canonical import PathFilter, PathTerm, _require_index_increasing, filtered_path_sum
+from .canonical import (
+    PathFilter, PathTerm, _require_index_increasing, build_h_function, filtered_path_sum)
 from .gkm import OrientedGraphData, magnitude, walk_paths
 
 
@@ -81,20 +81,6 @@ class TowerSpec:
                     image[b] = coarse[v]
 
 
-def tower_h_function(od: OrientedGraphData, tower: TowerSpec) -> dict[tuple[str, str], int]:
-    """First level separating the endpoints of each canonical edge."""
-    h: dict[tuple[str, str], int] = {}
-    for a in od.graph.ids:
-        for b in od.up[a]:
-            for j, lvl in enumerate(tower.levels, start=1):
-                if lvl.projection[a] != lvl.projection[b]:
-                    h[(a, b)] = j
-                    break
-            else:
-                raise NoSeparatingLevel(f"no level separates edge ({a},{b})")
-    return h
-
-
 def check_weight_preserving(od: OrientedGraphData, tower: TowerSpec,
                             h: Mapping[tuple[str, str], int]):
     """At each canonical edge's separating level the pulled-back moment
@@ -102,7 +88,7 @@ def check_weight_preserving(od: OrientedGraphData, tower: TowerSpec,
     differences are taken on the integral level coordinates that the
     tower's filter keeps (PathFilter.level), whose positive scale keeps
     their sign, and are compared with the weight without a division."""
-    levels = PathFilter(od, h, lambda j, v: tower.levels[j - 1].moment[v]).level
+    levels = PathFilter(od, h, [lvl.moment for lvl in tower.levels]).level
     for (a, b), j in h.items():
         values = levels(j)[1]
         diff = tuple(map(sub, values[b], values[a]))
@@ -118,14 +104,16 @@ def check_weight_preserving(od: OrientedGraphData, tower: TowerSpec,
 
 
 def tower_filter(od: OrientedGraphData, tower: TowerSpec) -> PathFilter:
-    """Validate a tower against od and return its filter (h-function and
-    level values), as filtered_path_sum and filtered_path_column take it.  Raises
-    GraphFormatError, NoSeparatingLevel or WeightNotPreserved, in that
-    order of checks."""
+    """Validate a tower against od and return its filter, as
+    filtered_path_sum and filtered_path_column take it: an edge's level is
+    the first level whose projection separates its ends, and the level
+    classes are the pulled-back moments.  Raises GraphFormatError, then
+    WeightNotPreserved, in that order of checks.  A validated tower's top
+    level is the identity, so some level separates every edge."""
     tower.validate(od)
-    h = tower_h_function(od, tower)
+    h = build_h_function(od, [lvl.projection for lvl in tower.levels])
     check_weight_preserving(od, tower, h)
-    return PathFilter(od, h, lambda j, v: tower.levels[j - 1].moment[v])
+    return PathFilter(od, h, [lvl.moment for lvl in tower.levels])
 
 
 def tower_restriction(od: OrientedGraphData, tower: TowerSpec, p: str, q: str,

@@ -33,10 +33,10 @@ class GkmGraph:
     weight(dst, src) == -weight(src, dst).
     """
 
-    def __init__(self, rank: int, vertices, edges, synthesize_mirror: bool = True):
+    def __init__(self, rank: int, vertices, edges):
         """vertices: iterable of (id, Weight); edges: iterable of
-        (src, dst, Weight).  Missing mirror edges are synthesized unless
-        disabled; inconsistent explicit mirrors are rejected."""
+        (src, dst, Weight).  Missing mirror edges are synthesized;
+        inconsistent explicit mirrors are rejected."""
         self.rank = rank
         self.ids: tuple[str, ...] = tuple(v[0] for v in vertices)
         if len(set(self.ids)) != len(self.ids):
@@ -73,7 +73,7 @@ class GkmGraph:
         for v, lst in heads.items():
             lst.sort()
             tails[v].sort()
-        if synthesize_mirror and heads != tails:
+        if heads != tails:
             heads = {v: [] for v in self.ids}
             for (src, dst), w in list(weights.items()):
                 heads[src].append(dst)
@@ -103,8 +103,8 @@ class GkmGraph:
                 raise GraphFormatError(f"invalid JSON: {exc}") from exc
         try:
             rank = int(data["rank"])
-            vertices = [(str(v["id"]), Weight(v["moment"])) for v in data["vertices"]]
-            edges = [(str(e["src"]), str(e["dst"]), Weight(e["weight"]))
+            vertices = [(str(v["id"]), _json_weight(v["moment"])) for v in data["vertices"]]
+            edges = [(str(e["src"]), str(e["dst"]), _json_weight(e["weight"]))
                      for e in data["edges"]]
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise GraphFormatError(f"malformed graph JSON: {exc}") from exc
@@ -124,6 +124,15 @@ class GkmGraph:
                          for v in self.ids],
             "edges": edges,
         }
+
+
+def _json_weight(coords) -> Weight:
+    """A weight read from graph JSON: a list of numbers or number strings.
+    A string is not split into digits, nor a bool read as 0 or 1."""
+    if not isinstance(coords, list) or any(isinstance(c, bool) for c in coords):
+        raise GraphFormatError(
+            f"malformed graph JSON: coordinates {json.dumps(coords)} are not a list of numbers")
+    return Weight(coords)
 
 
 @dataclass

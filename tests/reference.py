@@ -178,3 +178,26 @@ def paired_term(orbit: Orbit, cls, base_term: LinFrac) -> LinFrac:
     other[end_axis - 1] = end_sign
     other[cls.k] = 1
     return base_term.mul_weight(Weight(axis_w)).div_weight(Weight(other))
+
+
+def filtered_path_count(od, filt, q: str) -> dict[str, int]:
+    """Per vertex p, the number of canonical paths p -> q whose edge levels
+    are nondecreasing under the filter's h-function (one, the empty path,
+    for p = q).  A backward pass over (vertex, level) in integers:
+    count[v][l] is the number of such paths v -> q with every level at
+    least l, summed over the level j >= l of their first edge.  It keeps a
+    count per level, so it assumes nothing of where the paths start."""
+    top = max(filt.h_edge.values(), default=0)
+    count = {q: [1] * (top + 2)}
+    for v in reversed(od.order):
+        if v == q:
+            continue
+        row = [0] * (top + 2)
+        for u in od.up[v]:
+            if u in count:
+                j = filt.h_edge[(v, u)]
+                row[j] += count[u][j]
+        for level in range(top, -1, -1):
+            row[level] += row[level + 1]
+        count[v] = row
+    return {p: count[p][0] if p in count else 0 for p in od.graph.ids}

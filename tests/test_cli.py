@@ -164,10 +164,16 @@ class TestRefusedInputs:
         (["table"], _set("weight", ["1", "-1"]), 2, "err",
          "error: edge ('p1','p2') weight has wrong length\n"),
         (["validate"], _set("weight", ["0", "0", "0"]), 1, "out", "[zero-weight]"),
+        # a string is not read digit by digit, nor a bool as 0 or 1
+        (["validate"], _set("moment", "100", "vertices"), 2, "err",
+         'error: malformed graph JSON: coordinates "100" are not a list of numbers\n'),
+        (["table"], _set("weight", [True, -1, 0]), 2, "err",
+         "error: malformed graph JSON: coordinates [true, -1, 0] are not a list of numbers\n"),
         (["restrict", "--type", "A", "--rank", "2", "--p", "w:-1,2,3", "--q", "w:3,2,1"],
          None, 2, "err", "error: SignedPerm(-1,2,3) is not an element of this group\n"),
     ], ids=["duplicate-ids", "moment-length", "unknown-vertex", "loop-edge",
-            "conflicting-weights", "weight-length", "zero-weight", "not-in-group"])
+            "conflicting-weights", "weight-length", "zero-weight", "string-coordinates",
+            "bool-coordinates", "not-in-group"])
     def test_refused(self, capsys, tmp_path, argv, mutate, code, stream, text):
         if mutate is not None:
             data = projective_space_graph(2).to_json()

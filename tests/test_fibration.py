@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gkmrest.canonical import restriction_vertex_classes, single_form_column
+from gkmrest.canonical import build_h_function, restriction_vertex_classes, single_form_column
 from gkmrest.errors import (
     GraphFormatError,
     WeightNotPreserved,
@@ -21,7 +21,6 @@ from gkmrest.fibration import (
     fiber_decomposition,
     horizontal_paths,
     skipped_vertices,
-    tower_h_function,
     tower_restriction,
 )
 
@@ -107,7 +106,7 @@ class TestTowerRestriction:
 
     def test_weight_not_preserved(self, a2):
         tw = a2.tower()
-        h = tower_h_function(a2.od, tw)
+        h = build_h_function(a2.od, [lvl.projection for lvl in tw.levels])
         # corrupt one level-one moment value
         lvl1 = tw.levels[0]
         edge = next((a, b) for (a, b), j in h.items() if j == 1)
@@ -116,7 +115,8 @@ class TestTowerRestriction:
         bad = TowerSpec([TowerLevel(projection=lvl1.projection, moment=mom)]
                         + tw.levels[1:])
         with pytest.raises(WeightNotPreserved):
-            check_weight_preserving(a2.od, bad, tower_h_function(a2.od, bad))
+            check_weight_preserving(
+                a2.od, bad, build_h_function(a2.od, [lvl.projection for lvl in bad.levels]))
 
     @pytest.mark.parametrize("factor", [-1, 0])
     def test_weight_reversed_or_collapsed(self, a2, factor):
@@ -158,7 +158,7 @@ class TestTowerRestriction:
         when each vertex uses its first level separating it from q."""
         tw = a2.tower()
         ids = a2.od.graph.ids
-        h_edge = tower_h_function(a2.od, tw)
+        h_edge = build_h_function(a2.od, [lvl.projection for lvl in tw.levels])
         for q in ids:
             class_of = {}
             for v in ids:

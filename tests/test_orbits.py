@@ -452,10 +452,10 @@ class TestSlotMatchesTowerLevel:
     def test_one_line_h_equals_tower_h(self):
         """The first differing one-line slot of a cover equals the first
         tower level separating its endpoints."""
-        from gkmrest.fibration import tower_h_function
+        from gkmrest.canonical import build_h_function
         for ctype, rank in (("A", 2), ("A", 3), ("C", 2)):
             orbit = Orbit(OrbitSpec(ctype, rank))
-            h = tower_h_function(orbit.od, orbit.tower())
+            h = build_h_function(orbit.od, [lvl.projection for lvl in orbit.tower().levels])
             for w in orbit.elements:
                 for u, _, slot in orbit.covers_up(w):
                     edge = (orbit.vid_of[w.word], orbit.vid_of[u.word])

@@ -1,7 +1,8 @@
 """Tests of the filtered path-sum tables: the registry's ordered and tower
 tables against the single-pair entry points, the column DP against the
 walker on every pair and its hand-off to the walker, the rank-four tables
-that never reach the walker, reachability pruning in the walker, error
+that never reach the walker, that every ledger path starts at the first
+separating level, reachability pruning in the walker, error
 parity of the filters, that each filter and each edge's factor scalars
 are built once per table, and that the column's integer sums make no
 Fraction on the A3, B3 and C3 tables and on products of projective
@@ -16,6 +17,7 @@ import gkmrest.fibration as fibration
 import gkmrest.canonical as canonical
 from gkmrest.canonical import (
     PathFilter,
+    build_h_function,
     filtered_path_column,
     filtered_path_sum,
     ordered_filter,
@@ -26,7 +28,6 @@ from gkmrest.errors import (
     GkmError,
     GraphFormatError,
     NoSeparatingClass,
-    NoSeparatingLevel,
     WeightNotPreserved,
     WellDefinednessViolation,
 )
@@ -35,7 +36,6 @@ from gkmrest.fibration import (
     TowerLevel,
     TowerSpec,
     tower_filter,
-    tower_h_function,
     tower_restriction,
 )
 from gkmrest.gkm import GkmGraph, OrientedGraphData, choose_generic_xi
@@ -303,11 +303,74 @@ class TestColumnMatchesWalker:
             {v: Weight([int(v[0]), int(v[1]) - int(v[2]), 0]) for v in od.graph.ids},
             {v: Weight([0, int(v[1]), 2 * int(v[2])]) for v in od.graph.ids},
         )
-        filt = PathFilter(od, h, lambda j, v: levels[j - 1][v])
+        filt = PathFilter(od, h, levels)
         assert not any(filt.factor(a, b).den for a, b in h)
         outcome = self.handed_off(od, filt, monkeypatch)
         assert outcome["111"] == (["000", "001"], True)
         assert {q for q, (calls, _) in outcome.items() if calls} == {"101", "110", "111"}
+
+
+    def test_level_class_that_does_not_move_along_an_edge(self, monkeypatch):
+        # level one's class does not move along 000 -> 001, so that
+        # edge's factor theta * 0 / eta is zero; the edge 000 -> 010 has
+        # level two, so towards 011 every monotone path from 000 crosses
+        # the zero factor: the walker records the zero term, and the
+        # column adds nothing for the edge, without the walker
+        od = cube_od()
+        h = {(a, b): 2 if (a, b) == ("000", "010") else 1
+             for a in od.graph.ids for b in od.up[a]}
+        cls = {v: Weight([0, 2 * int(v[1]), int(v[1]) * (int(v[2]) - 1)]) for v in od.graph.ids}
+        filt = PathFilter(od, h, [cls, dict(od.graph.moment)])
+        assert filt.factor("000", "001").is_zero()
+        value, ledger = filtered_path_sum(od, "000", "011", filt)
+        assert value.is_zero()
+        assert [(t.path, t.value.is_zero()) for t in ledger] == [(("000", "001", "011"), True)]
+        outcome = self.handed_off(od, filt, monkeypatch)
+        assert outcome["011"] == ([], False)
+        assert {q for q, (_, raised) in outcome.items() if raised} == {
+            "001", "100", "101", "110", "111"}
+
+
+    def test_paths_that_start_at_two_levels(self, monkeypatch):
+        # only 000 -> 100 has level one, so from 000 the monotone paths
+        # to 110, 101 and 111 start at level one and at level two; the
+        # level-one class moves along 010 -> 110 and 001 -> 101, which
+        # have level two, so no h-function built from the classes gives
+        # this.  The column hands those targets to the walker, whose sums
+        # there are not polynomials
+        od = cube_od()
+        h = {(a, b): 1 if (a, b) == ("000", "100") else 2
+             for a in od.graph.ids for b in od.up[a]}
+        cls = {v: Weight([int(v[0]), 0, 0]) for v in od.graph.ids}
+        outcome = self.handed_off(od, PathFilter(od, h, [cls, dict(od.graph.moment)]), monkeypatch)
+        assert {q for q, (calls, _) in outcome.items() if calls} == {"101", "110", "111"}
+        assert {q for q, (_, raised) in outcome.items() if raised} == {"101", "110", "111"}
+
+
+class TestFirstLevel:
+    """Every level-monotone path p -> q starts at the first level whose
+    class separates p from q, which is why the column keeps one sum per
+    vertex: the classes below an edge's level agree at its ends, so they
+    agree at p and q along the whole path."""
+
+    @pytest.mark.parametrize("name,mu", [
+        ("A3", None), ("B3", None), ("C3", None),
+        ("A3", "-3/2,-1/2,1/2,3/2"), ("C3", "-5/3,-1,-1/3")])
+    def test_ledger_paths_start_at_the_first_separating_level(self, name, mu):
+        orbit = Orbit(OrbitSpec(name[0], int(name[1]), mu and mu.split(",")))
+        od = orbit.od
+        for label, filt in TestColumnMatchesWalker.filters(orbit):
+            paths = 0
+            for p in od.graph.ids:
+                for q in od.graph.ids:
+                    if p == q:
+                        continue
+                    first = next((j for j, w in enumerate(filt.classes, start=1)
+                                  if w[p] != w[q]), None)
+                    for term in filtered_path_sum(od, p, q, filt)[1]:
+                        assert term.levels[0] == first, (label, term.path)
+                        paths += 1
+            assert paths > 0, label
 
 
 class TestPruning:
@@ -363,7 +426,7 @@ class TestErrorParity:
         tw = a2.tower()
         const = {v: a2.od.graph.ids[0] for v in a2.od.graph.ids}
         mom = {v: a2.od.graph.moment[a2.od.graph.ids[0]] for v in a2.od.graph.ids}
-        h = tower_h_function(a2.od, tw)
+        h = build_h_function(a2.od, [lvl.projection for lvl in tw.levels])
         # shift a whole level-one fiber, so moments stay constant on
         # fibers and only weight preservation fails
         a, b = next(edge for edge, j in h.items() if j == 1)
@@ -389,15 +452,6 @@ class TestErrorParity:
             with pytest.raises(exc_type) as table:
                 tower_filter(a2.od, bad)
             assert str(table.value) == str(single.value)
-
-    def test_no_separating_level_from_h_function(self, a2):
-        # validate() demands an identity top level, which separates every
-        # edge, so only an unvalidated tower can reach this error
-        ids = a2.od.graph.ids
-        const = TowerLevel(projection={v: ids[0] for v in ids},
-                           moment={v: a2.od.graph.moment[ids[0]] for v in ids})
-        with pytest.raises(NoSeparatingLevel):
-            tower_h_function(a2.od, TowerSpec([const]))
 
     def test_ordered_table_raises_like_restriction_ordered(self, a2):
         ids = a2.od.graph.ids
@@ -480,7 +534,8 @@ def counting_fractions_and_divisions(monkeypatch, run):
 class TestIntegerColumns:
     """The column keeps its sums in integers over one denominator each:
     on the B3 and C3 path tables it constructs no Fraction, and it divides
-    once per (vertex, level) of each column; on A3 and on products of
+    once per vertex with a monotone path to the column's target (all of
+    whose paths start at one level); on A3 and on products of
     projective spaces, whose level classes are not integral, its columns
     construct none either, nor does the tower filter's weight check."""
 
@@ -492,7 +547,8 @@ class TestIntegerColumns:
         entries, counts = counting_fractions_and_divisions(
             monkeypatch, lambda: engine_entries(orbit, engine, jobs=1))
         assert len(entries) == len(orbit.elements) ** 2
-        # one division per (vertex, level) over the 48 columns
+        # one division per (vertex, target) with a monotone path over the
+        # 48 columns
         assert counts == {"Fraction": 0, "div_weight": 799}
 
     @pytest.mark.parametrize("ctype", ["A", "C"])

@@ -1,6 +1,7 @@
 """The typed B/D path terms against their step-by-step definition (the
 reference's defining_base_term and paired_term, weight by weight), the
-LinFrac constructions of a typed table, and the paper's path counts."""
+LinFrac constructions of a typed table, and the paper's path counts, by
+the walker and by the reference's per-level count."""
 
 import pytest
 
@@ -11,7 +12,7 @@ from gkmrest.fibration import tower_filter
 from gkmrest.oracle import _ordered_classes
 from gkmrest.orbits import Orbit, OrbitSpec, relevant_path_terms, typed_table
 
-from reference import defining_base_term, lift_path, paired_term
+from reference import defining_base_term, filtered_path_count, lift_path, paired_term
 
 POINTS = [("B", 2, None), ("B", 3, None), ("D", 4, None),
           ("B", 3, "-7/2,-3,-1/2"), ("D", 4, "-7/2,-5/2,-3/2,-1/2")]
@@ -67,6 +68,11 @@ def _filtered_count(od, filt):
                for p in od.graph.ids for q in od.graph.ids if p != q)
 
 
+def _dp_count(od, filt):
+    return sum(count for q in od.graph.ids
+               for p, count in filtered_path_count(od, filt, q).items() if p != q)
+
+
 @pytest.mark.parametrize("ctype,engines,count", [
     ("A", ("ordered", "tower", "typed"), 237),
     ("B", ("ordered", "tower"), 1471),
@@ -78,7 +84,22 @@ def test_filtered_path_counts_over_all_pairs(ctype, engines, count):
                "tower": lambda: tower_filter(od, orbit.tower()),
                "typed": lambda: orbit.coordinate_filter}
     for engine in engines:
-        assert _filtered_count(od, filters[engine]()) == count, engine
+        filt = filters[engine]()
+        assert _filtered_count(od, filt) == count, engine
+        assert _dp_count(od, filt) == count, engine
+
+
+@pytest.mark.parametrize("ctype,count,walk", [
+    ("A", 6094, True),
+    # the walker needs about 15 s on D4, the per-level count a few
+    # hundredths
+    ("D", 34140, False)])
+def test_rank_four_tower_path_counts(ctype, count, walk):
+    orbit = Orbit(OrbitSpec(ctype, 4))
+    filt = tower_filter(orbit.od, orbit.tower())
+    assert _dp_count(orbit.od, filt) == count
+    if walk:
+        assert _filtered_count(orbit.od, filt) == count
 
 
 def test_a3_canonical_path_count_under_the_moment_class():
