@@ -37,7 +37,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, inf, lcm
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 from typing import Collection, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -169,25 +169,38 @@ def single_form_column(od: OrientedGraphData, q: str,
     g = od.graph
     n = od.rank
     col: dict[str, Poly] = {}
-    mq = g.moment[q]
+    mq = g.moment[q].coords
     order = od.order if within is None else [v for v in od.order if v in within]
     for v in reversed(order):
         if v == q:
             col[v] = od.lambda_minus(q)
             continue
-        total = Poly.zero(n)
+        # the edge-weighted sum of the values above, in one term dict
+        total: dict = {}
         for r in od.up[v]:
-            top = col[r]
-            if not top.is_zero():
-                total = total + top.scale(od.gz_coefficient(v, r))
-        if total.is_zero():
-            col[v] = total
+            top = col[r].terms
+            if not top:
+                continue
+            c = od.gz_coefficient(v, r)
+            if not c:
+                continue
+            for e, t in top.items():
+                s = total.get(e, 0) + c * t
+                if s:
+                    total[e] = s
+                else:
+                    del total[e]
+        if not total:
+            col[v] = Poly.zero(n)
             continue
-        diff = mq - g.moment[v]
+        # mq - moment[v], integral coordinates as ints
+        diff = Weight.of_exact(tuple(
+            d.numerator if type(d) is Fraction and d.denominator == 1 else d
+            for d in map(sub, mq, g.moment[v].coords)))
         if diff.is_zero():
             raise WellDefinednessViolation(
                 f"moment values of {v} and {q} coincide on a live path")
-        col[v] = total.div_weight(diff)
+        col[v] = Poly(n, total, _clean=True).div_weight(diff)
     return col
 
 
@@ -638,12 +651,12 @@ def brute_row(od: OrientedGraphData, p: str, until: str | None = None) -> dict[s
     so with until the row stops once the value at that vertex is solved:
     the vertices up to it in od.order get their values in the full row,
     and no vertex above it is looked at."""
-    g = od.graph
     n = od.rank
     d = od.lam[p]
+    lower, etas = od.lower_adj, od.lower_weights
     row: dict[str, Poly] = {}
     for v in od.order:
-        congs = [(g.edge_weight(r, v), row[r]) for r in od.lower_adj[v]]
+        congs = list(zip(etas[v], map(row.__getitem__, lower[v])))
         if v == p:
             val = od.lambda_minus(p)
         elif od.lam[v] <= d:

@@ -14,6 +14,14 @@ combine to an integer leave a ``Fraction(k, 1)``.  Equality, hashing and
 (``Weight.primitive``) has an int scale exactly when the form is integral,
 so integral forms are split, multiplied and divided without a ``Fraction``.
 
+Two tables are shared by every polynomial, each cleared when it reaches
+``_EXP_POOL_LIMIT``: ``_EXP_POOL`` keeps one tuple per exponent vector,
+and ``_FORM_PLANS`` keeps, per linear form, what ``Poly.div_weight`` and
+``Poly.restrict_zero`` derive from the form alone, so a division or
+restriction by a form met before reads it.  ``frac_sum`` adds fractions
+of products of forms in a balanced pairwise tree, reducing after each
+merge, so no numerator is raised to the lcd of all the terms.
+
 Conventions:
   * a ``Weight`` is a covector in m coordinates x_1..x_m;
   * a ``Poly`` maps exponent tuples (length m) to nonzero coefficients;
@@ -192,6 +200,66 @@ def format_weight(coords: Sequence) -> str:
 # inputs in one process from growing it without end.
 _EXP_POOL: dict[tuple[int, ...], tuple[int, ...]] = {}
 _EXP_POOL_LIMIT = 1 << 16
+
+# One plan per linear form, keyed by its coordinate tuple: what
+# Poly.div_weight and Poly.restrict_zero derive from the form alone, read on
+# every later division or restriction by an equal form.  Equal coordinates
+# find one entry however they are typed (the key (Fraction(1, 1), 0) finds
+# the entry of (1, 0)), and a plan is derived from the coordinates with
+# integral Fractions made ints, so its int and unit flags, and with them
+# the inline int division, do not depend on which typing came first.
+# A D4 gz table meets 2,922 forms, its moment differences; the limit is
+# _EXP_POOL's.
+_FORM_PLANS: dict[tuple, list] = {}
+
+
+def _form_plan(coords: tuple) -> list:
+    """The plan of the linear form with these coordinates, from
+    _FORM_PLANS or derived and entered there."""
+    plan = _FORM_PLANS.get(coords)
+    if plan is None:
+        if len(_FORM_PLANS) >= _EXP_POOL_LIMIT:
+            _FORM_PLANS.clear()
+        plan = _FORM_PLANS[coords] = _derive_plan(coords)
+    return plan
+
+
+def _derive_plan(coords: tuple) -> list:
+    """[piv, c0, rest, int_pivot, unit, shape] of a linear form: the index
+    and coefficient of its first nonzero coordinate (piv None for the zero
+    form), the other nonzero (index, coefficient) pairs, whether c0 is an
+    int and whether it is 1.  shape serves restrict_zero: for one other
+    coordinate j, (j, r, powers of r, their negatives) with
+    x_piv = r * x_j on the hyperplane, the power lists grown on demand;
+    for more, the images of the variables under x_piv -> -(rest)/c0, made
+    by the first restriction (_substitution_images), since most such forms
+    are moment differences that are only divided by."""
+    coords = tuple(map(_as_exact, coords))
+    piv = next((i for i, c in enumerate(coords) if c != 0), None)
+    if piv is None:
+        return [None, None, (), False, False, None]
+    c0 = coords[piv]
+    rest = tuple((i, c) for i, c in enumerate(coords) if c != 0 and i != piv)
+    int_pivot = type(c0) is int
+    shape = None
+    if len(rest) == 1:
+        j, cj = rest[0]
+        shape = (j, _div_scalar(-cj, c0), [1], [-1])
+    return [piv, c0, rest, int_pivot, int_pivot and c0 == 1, shape]
+
+
+def _substitution_images(plan: list, n: int) -> list:
+    """The images of x_1..x_n under x_piv -> -(rest)/c0, every other
+    variable fixed, for a plan with two or more rest terms; kept in it."""
+    if plan[5] is None:
+        piv, c0, rest = plan[:3]
+        images = [Weight.of_exact(tuple(int(i == j) for i in range(n))) for j in range(n)]
+        image = [0] * n
+        for i, c in rest:
+            image[i] = _div_scalar(-c, c0)
+        images[piv] = Weight.of_exact(tuple(image))
+        plan[5] = images
+    return plan[5]
 
 
 def _grlex_key(exp: tuple[int, ...]):
@@ -385,15 +453,13 @@ class Poly:
         with one more slot raised, both edited in one list per term.  An
         int coefficient over an int pivot is divided inline; any other
         goes through _div_scalar, so integral coefficients come out as
-        ints.  The quotient's exponent tuples come from _EXP_POOL."""
-        coords = w.coords
-        piv = next((i for i, c in enumerate(coords) if c != 0), None)
+        ints.  The form's pivot, rest and flags come from its plan
+        (_form_plan), the quotient's exponent tuples from _EXP_POOL."""
+        piv, c0, rest, int_pivot, unit, _ = _form_plan(w.coords)
         if piv is None:
             raise ZeroDivisionError("division by zero form")
         if not self.terms:
             return self
-        c0 = coords[piv]
-        rest = [(i, c) for i, c in enumerate(coords) if c != 0 and i != piv]
         levels: dict[int, dict] = {}
         for e, c in self.terms.items():
             level = levels.get(e[piv])
@@ -405,8 +471,6 @@ class Poly:
         if len(pool) >= _EXP_POOL_LIMIT:
             pool.clear()
         keep = pool.setdefault
-        int_pivot = type(c0) is int
-        unit = int_pivot and c0 == 1
         quot: dict = {}
         for k in range(max(levels), 0, -1):
             num = levels.pop(k, None)
@@ -440,7 +504,7 @@ class Poly:
                     else:
                         del below[ce]
         if levels.get(0):
-            raise NotDivisible(f"not divisible by linear form {format_weight(coords)}")
+            raise NotDivisible(f"not divisible by linear form {format_weight(w.coords)}")
         return Poly(self.n, quot, _clean=True)
 
     def _div_general(self, d: "Poly") -> "Poly":
@@ -471,12 +535,12 @@ class Poly:
         leading variable.  The result lives in the same variable set with
         that variable absent.  self is divisible by w iff this is zero.
         With minus, the restriction of self - minus, made without building
-        the difference."""
-        piv = next((i for i, c in enumerate(w.coords) if c != 0), None)
+        the difference.  What depends on the form alone (pivot, ratio and
+        its powers, substitution images) comes from its plan."""
+        plan = _form_plan(w.coords)
+        piv, _, rest, _, _, shape = plan
         if piv is None:
             raise ZeroDivisionError("restriction along zero form")
-        c0 = w.coords[piv]
-        rest = [(i, c) for i, c in enumerate(w.coords) if c != 0 and i != piv]
         if not rest:
             # substitute x_piv = 0: drop terms touching the pivot
             out = {e: c for e, c in self.terms.items() if e[piv] == 0}
@@ -492,11 +556,10 @@ class Poly:
         if len(rest) == 1:
             # substitute x_piv = r * x_j: a monomial rename with a scale;
             # minus's terms are scaled by the negated powers of r
-            j, cj = rest[0]
-            r = _div_scalar(-cj, c0)
-            parts = [(self.terms, [1])]
+            j, r, plus_powers, minus_powers = shape
+            parts = [(self.terms, plus_powers)]
             if minus is not None:
-                parts.append((minus.terms, [-1]))
+                parts.append((minus.terms, minus_powers))
             out = {}
             for terms, powers in parts:
                 for e, c in terms.items():
@@ -515,13 +578,10 @@ class Poly:
                         out[e] = s
             return Poly(self.n, out, _clean=True)
         # any other form: x_piv -> -(rest)/c0, every other variable fixed
-        images = [Weight(int(i == j) for i in range(self.n)) for j in range(self.n)]
-        images[piv] = Weight(0 if i == piv else _div_scalar(-c, c0)
-                             for i, c in enumerate(w.coords))
         items = self.terms.items()
         if minus is not None:
             items = chain(items, ((e, -c) for e, c in minus.terms.items()))
-        return _substituted(items, images, self.n)
+        return _substituted(items, _substitution_images(plan, self.n), self.n)
 
     def divisible_by_weight(self, w: Weight) -> bool:
         return self.restrict_zero(w).is_zero()
@@ -737,31 +797,71 @@ class LinFrac:
 
 def frac_sum(terms: Sequence[tuple[Poly, tuple]], n: int) -> tuple[Poly, tuple]:
     """The sum of fractions (num, den), den a sorted tuple of primitive
-    forms whose product is the denominator, over their least common
-    denominator (maximum multiplicity of each form).  Every form of it that
-    divides the summed numerator is divided out; the forms left over come
-    back sorted, so an empty tuple means the sum is a polynomial."""
-    lcd: Counter = Counter()
-    for _, den in terms:
-        lcd |= Counter(den)
-    total = Poly.zero(n)
-    for num, den in terms:
-        for form, k in (lcd - Counter(den)).items():
-            for _ in range(k):
-                num = num.mul_weight(Weight(form))
-        total = total + num
-    if total.is_zero():
+    forms whose product is the denominator, in lowest terms: every form
+    that divides the summed numerator is divided out, and the forms left
+    over come back sorted, so an empty tuple means the sum is a polynomial.
+
+    The fractions are added in a balanced pairwise tree (_merge_fractions),
+    each merge over the two operands' least common denominator and reduced
+    at once, so no numerator is raised to the lcd of all the terms.  Forms
+    left over at the root are tried once more, which reduces fractions that
+    came in not in lowest terms.  A sum in lowest terms over primitive
+    forms is unique, so the order of the merges does not show."""
+    level = [(num, Counter(den)) for num, den in terms if num]
+    if not level:
+        return Poly.zero(n), ()
+    while len(level) > 1:
+        merged = [_merge_fractions(level[i], level[i + 1])
+                  for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            merged.append(level[-1])
+        level = merged
+    total, den = level[0]
+    if not total:
         return total, ()
-    left: list[tuple[int, ...]] = []
-    for form, k in lcd.items():
-        w = Weight(form)
-        for i in range(k):
+    total, den = _divided_out(total, den, den)
+    return total.with_int_coefficients(), tuple(sorted(den.elements()))
+
+
+def _merge_fractions(a: tuple[Poly, Counter], b: tuple[Poly, Counter]) -> tuple[Poly, Counter]:
+    """a + b over the lcd of the two denominators, reduced.  When both are
+    in lowest terms, a form can divide the summed numerator only if it has
+    the same multiplicity in both denominators: otherwise the numerator is
+    the operand of the larger multiplicity, which the form does not divide,
+    times forms other than it, plus a multiple of it.  So only those forms
+    are tried."""
+    (num_a, den_a), (num_b, den_b) = a, b
+    total = _times_forms(num_a, den_b - den_a) + _times_forms(num_b, den_a - den_b)
+    if not total:
+        return total, Counter()
+    shared = Counter({f: k for f, k in den_a.items() if den_b.get(f) == k})
+    return _divided_out(total, den_a | den_b, shared)
+
+
+def _times_forms(num: Poly, forms: Counter) -> Poly:
+    """num times each form of the multiset forms."""
+    for form, k in forms.items():
+        w = Weight.of_exact(form)
+        for _ in range(k):
+            num = num.mul_weight(w)
+    return num
+
+
+def _divided_out(total: Poly, den: Counter, tried: Counter) -> tuple[Poly, Counter]:
+    """total / den with each form of tried divided out of both as often as
+    it divides total, at most its multiplicity in tried."""
+    if not tried:
+        return total, den
+    den = Counter(den)
+    for form, k in tried.items():
+        w = Weight.of_exact(form)
+        for _ in range(k):
             try:
                 total = total.div_weight(w)
             except NotDivisible:
-                left += [form] * (k - i)
                 break
-    return total.with_int_coefficients(), tuple(sorted(left))
+            den[form] -= 1
+    return total, +den
 
 
 def linfrac_sum_to_poly(terms: Iterable, n: int) -> Poly:

@@ -22,7 +22,8 @@ from .errors import (
     NonIntegerTheta,
     NotScalarRatio,
 )
-from .exact import LinFrac, Poly, Weight, _as_exact, _div_scalar, _primitive, format_scalar, pair
+from .exact import (LinFrac, Poly, Weight, _as_exact, _div_scalar, _form_plan, _primitive,
+                    format_scalar, pair)
 
 
 class GkmGraph:
@@ -376,12 +377,13 @@ class OrientedGraphData:
     def gz_coefficient(self, v: str, r: str) -> int | Fraction:
         """magnitude(v, r) * theta(v, r): the weight of the value at r in
         the moment-driven dynamic program at v, memoised per canonical
-        edge.  theta is asked on every call, a cache hit after the first,
-        so a trace counts one theta request per DP edge."""
+        edge, an int when integral.  theta is asked on every call, a cache
+        hit after the first, so a trace counts one theta request per DP
+        edge."""
         th = self.theta(v, r)
         c = self._gz_coefficients.get((v, r))
         if c is None:
-            c = self._gz_coefficients[(v, r)] = magnitude(self.graph, v, r) * th
+            c = self._gz_coefficients[(v, r)] = _as_exact(magnitude(self.graph, v, r) * th)
         return c
 
     def congruence_products(self, v: str) -> tuple[tuple[tuple[Weight, ...] | None, Poly], ...]:
@@ -393,16 +395,16 @@ class OrientedGraphData:
         not depend on the row, so they are memoised per vertex."""
         got = self._congruence_products.get(v)
         if got is None:
-            etas = [self.graph.weights[(r, v)] for r in self.lower_adj[v]]
+            etas = self.lower_weights[v]
             steps = []
             prod = Poly.const(self.rank, 1)
             for k, eta in enumerate(etas):
-                # eta_h on eta = 0: eta_h - (eta_h[piv] / eta[piv]) * eta,
-                # piv the pivot that Poly.restrict_zero eliminates
-                piv = next(i for i, c in enumerate(eta.coords) if c != 0)
+                # eta_h on eta = 0: eta_h - (eta_h[piv] / c0) * eta, with
+                # the pivot that Poly.restrict_zero eliminates, from eta's plan
+                piv, c0 = _form_plan(eta.coords)[:2]
                 forms = []
                 for h in etas[:k]:
-                    t = _div_scalar(h.coords[piv], eta.coords[piv])
+                    t = _div_scalar(h.coords[piv], c0)
                     piece = h - t * eta if t else h
                     if piece.is_zero():
                         forms = None
@@ -441,6 +443,15 @@ class OrientedGraphData:
         phi = self.phi
         return {v: tuple(r for r in self.graph.adj[v] if phi[r] < phi[v])
                 for v in self.graph.ids}
+
+    @cached_property
+    def lower_weights(self) -> dict[str, tuple[Weight, ...]]:
+        """For each vertex v, the weights of the edges (r, v) from its
+        lower neighbours r, in lower_adj order: the congruence directions
+        at v of every brute row."""
+        weights = self.graph.weights
+        return {v: tuple(weights[(r, v)] for r in lower)
+                for v, lower in self.lower_adj.items()}
 
 
 def walk_paths(start, state, step):

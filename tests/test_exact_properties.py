@@ -8,7 +8,9 @@ in the form's pivot variable) and random linear forms (one, two, or three
 or more nonzero coordinates) against sympy's own arithmetic.  The two
 shortcuts of the brute solver are checked against the operations they
 replace: the restriction of f - g taken without building it, and a
-division by a product of forms taken one form at a time."""
+division by a product of forms taken one form at a time.  Divisions and
+restrictions read each form's plan from a shared table; they are checked
+with the table empty and filled, and with equal forms typed differently."""
 
 from fractions import Fraction
 from math import gcd
@@ -21,6 +23,7 @@ sp = pytest.importorskip("sympy")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from gkmrest import exact  # noqa: E402
 from gkmrest.errors import NotDivisible  # noqa: E402
 from gkmrest.exact import (  # noqa: E402
     LinFrac,
@@ -434,3 +437,112 @@ def test_linfrac_does_not_depend_on_input_order(num, den, c, rnd):
         assert a.to_poly() == b.to_poly()
     if a.num and a.scalar == 1:
         assert str(a).startswith("*".join(f"({format_weight(f)})" for f in a.num))
+
+
+# ---------------------------------------------------------------------------
+# The plan table: a division or restriction by a form does not depend on
+# what the table held before it, nor on how the form's coordinates are typed
+# ---------------------------------------------------------------------------
+
+def typed(p: Poly) -> dict:
+    """The term dict with each coefficient's type, so that an int and an
+    equal Fraction(k, 1) tell apart."""
+    return {e: (c, type(c)) for e, c in p.terms.items()}
+
+
+def cold(op):
+    """op() with an empty plan table."""
+    exact._FORM_PLANS.clear()
+    return op()
+
+
+@pytest.mark.parametrize("support", SUPPORTS)
+@SETTINGS
+@given(data=st.data())
+def test_division_by_a_multiple_cold_and_warm(support, data):
+    """div_weight(mul_weight(p, w), w) is p, coefficient types included,
+    with the form's plan derived by the call itself and read from the
+    table."""
+    n, p, w = data.draw(poly_and_form(support))
+    prod = p.mul_weight(w)
+    first = cold(lambda: prod.div_weight(w))
+    again = prod.div_weight(w)
+    assert typed(first) == typed(again) == typed(p)
+
+
+@pytest.mark.parametrize("support", SUPPORTS)
+@SETTINGS
+@given(data=st.data())
+def test_restriction_cold_and_warm(support, data):
+    """A restriction, with or without minus, is the same whether the plan
+    is derived for it or left by restrictions of other polynomials, which
+    grow the power lists of a two-coordinate plan first."""
+    n, p, w = data.draw(poly_and_form(support))
+    piv = next(i for i, c in enumerate(w.coords) if c)
+    q = data.draw(deep_polys(n, piv))
+    g = data.draw(st.sampled_from((None, p, Poly.zero(n))))
+    want = cold(lambda: q.restrict_zero(w, minus=g))
+    exact._FORM_PLANS.clear()
+    p.restrict_zero(w)
+    p.restrict_zero(w, minus=q)
+    for _ in range(2):  # after the others, then after itself
+        assert typed(q.restrict_zero(w, minus=g)) == typed(want)
+
+
+@pytest.mark.parametrize("support", SUPPORTS)
+@SETTINGS
+@given(data=st.data())
+def test_equal_forms_typed_differently_share_results(support, data):
+    """A form whose coordinates are all Fractions (integral ones with
+    denominator one) finds the plan of the same form with int coordinates,
+    and derives the same plan when it comes first."""
+    n, p, w = data.draw(poly_and_form(support))
+    alt = Weight.of_exact(tuple(Fraction(c) for c in w.coords))
+    assert alt.coords == w.coords
+    prod = p.mul_weight(w)
+    # the same dividend with every coefficient a Fraction
+    typed_prod = Poly(n, {e: Fraction(c) for e, c in prod.terms.items()})
+
+    def results(first, second):
+        exact._FORM_PLANS.clear()
+        out = []
+        for form in (first, second):
+            out += [prod.div_weight(form), typed_prod.div_weight(form),
+                    p.restrict_zero(form), prod.restrict_zero(form, minus=p)]
+            try:
+                out.append(p.div_weight(form))
+            except NotDivisible as exc:
+                out.append(str(exc))
+        return [typed(r) if isinstance(r, Poly) else r for r in out]
+
+    k = len(results(w, alt)) // 2
+    for got in (results(w, alt), results(alt, w)):
+        assert got[:k] == got[k:] == results(w, w)[:k]
+
+
+def test_half_integral_pivots_cold_and_warm():
+    """Forms with a Fraction pivot and one, two or three coordinates."""
+    p = Poly(3, {(3, 1, 0): Fraction(1, 2), (1, 0, 2): 3, (0, 2, 1): -2, (2, 0, 0): Fraction(5, 3)})
+    for coords in ((Fraction(1, 2), 0, 0), (Fraction(-3, 2), 1, 0),
+                   (Fraction(1, 2), Fraction(-1, 3), 2)):
+        w = Weight(coords)
+        prod = p.mul_weight(w)
+        quot = cold(lambda: prod.div_weight(w))
+        rest = cold(lambda: p.restrict_zero(w, minus=prod))
+        assert typed(quot) == typed(prod.div_weight(w)) == typed(p)
+        assert typed(rest) == typed(p.restrict_zero(w, minus=prod))
+        assert sym_terms(sym(rest), 3) == (p - prod).restrict_zero(w).terms
+
+
+def test_plan_table_is_bounded(monkeypatch):
+    """The plan table is cleared at _EXP_POOL_LIMIT, like _EXP_POOL, and
+    a division after a clear derives its plan again."""
+    monkeypatch.setattr(exact, "_FORM_PLANS", {})
+    monkeypatch.setattr(exact, "_EXP_POOL_LIMIT", 2)
+    for k in range(1, 6):
+        w = Weight((1, -k))
+        assert Poly.from_weight(w).mul_weight(w).div_weight(w) == Poly.from_weight(w)
+        assert Poly.from_weight(w).restrict_zero(w).is_zero()
+        assert len(exact._FORM_PLANS) <= 2
+        assert (1, -k) in exact._FORM_PLANS
+
